@@ -4,6 +4,12 @@ Produces the unique reduced Groebner basis under grevlex, which makes ideal
 equality a syntactic comparison.  Normal selection strategy (smallest pair
 lcm first); coprimality and chain criteria via the Gebauer-Moeller update.
 
+The same pair loop, stopped at a degree bound, drives the minimalization of
+homogeneous generator lists: generators are taken degree by degree against a
+degree-truncated Groebner basis of the lower-degree survivors, so a
+redundancy test is linear algebra on normal forms instead of a Groebner
+basis per candidate.
+
 Everything here is exact; coefficients are Gaussian rationals.
 """
 
@@ -21,7 +27,6 @@ __all__ = [
     "reduced_groebner_basis",
     "ideal_membership",
     "ideal_equal",
-    "ideal_is_zero",
     "radical_membership",
     "minimalize_generators",
 ]
@@ -125,6 +130,32 @@ def _update(
     basis.append(candidate)
 
 
+def _reduce_pairs(
+    basis: list[MultiPoly],
+    pairs: list[tuple[int, int]],
+    max_degree: int | None = None,
+) -> None:
+    """Reduce S-pairs, smallest lcm first, extending ``basis`` in place.
+
+    With ``max_degree`` set, stops before the first pair whose lcm has a
+    larger total degree; the remaining pairs stay in ``pairs``.  For
+    homogeneous input the basis is then a Groebner basis up to that degree.
+    """
+    while pairs:
+        # normal selection: smallest lcm in grevlex, which is degree first
+        keys = [
+            grevlex_key(_lcm(basis[i].leading_monomial(), basis[j].leading_monomial()))
+            for i, j in pairs
+        ]
+        best = min(range(len(pairs)), key=keys.__getitem__)
+        if max_degree is not None and keys[best][0] > max_degree:
+            return
+        i, j = pairs.pop(best)
+        nf = normal_form(spoly(basis[i], basis[j]), basis)
+        if not nf.is_zero():
+            _update(basis, pairs, nf.monic())
+
+
 def groebner_basis(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
     """A (not yet reduced) Groebner basis of the given ideal."""
     gens = [g for g in generators if not g.is_zero()]
@@ -139,21 +170,7 @@ def groebner_basis(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
         nf = normal_form(g, basis)
         if not nf.is_zero():
             _update(basis, pairs, nf.monic())
-    while pairs:
-        # normal selection: smallest lcm in grevlex
-        best = min(
-            range(len(pairs)),
-            key=lambda idx: grevlex_key(
-                _lcm(
-                    basis[pairs[idx][0]].leading_monomial(),
-                    basis[pairs[idx][1]].leading_monomial(),
-                )
-            ),
-        )
-        i, j = pairs.pop(best)
-        nf = normal_form(spoly(basis[i], basis[j]), basis)
-        if not nf.is_zero():
-            _update(basis, pairs, nf.monic())
+    _reduce_pairs(basis, pairs)
     return basis
 
 
@@ -200,10 +217,6 @@ def ideal_equal(a: Sequence[MultiPoly], b: Sequence[MultiPoly]) -> bool:
     return reduced_groebner_basis(a) == reduced_groebner_basis(b)
 
 
-def ideal_is_zero(generators: Sequence[MultiPoly]) -> bool:
-    return all(g.is_zero() for g in generators)
-
-
 def radical_membership(p: MultiPoly, generators: Sequence[MultiPoly]) -> bool:
     """True iff ``p`` vanishes on the zero set of the ideal (Rabinowitsch).
 
@@ -226,16 +239,55 @@ def radical_membership(p: MultiPoly, generators: Sequence[MultiPoly]) -> bool:
 def minimalize_generators(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
     """Remove generators lying in the ideal of the remaining ones.
 
-    Candidates are examined from the largest leading monomial down, so
+    The generators must be homogeneous (zero generators are ignored);
+    otherwise ``ValueError`` is raised.  Survivor rule: candidates are
+    examined from the largest leading monomial down, and a candidate is
+    dropped iff it lies in the ideal of the generators still present, so
     higher-degree consequences are removed first.  The survivors are returned
     monic, sorted by ascending grevlex leading monomial.
+
+    Only generators of degree at most d matter for a degree-d candidate, and
+    all of lower degree are still present when it is examined.  So degrees
+    are processed in ascending order against a Groebner basis of the
+    lower-degree survivors, truncated at d: a candidate is dropped iff its
+    normal form lies in the span of the normal forms of the other degree-d
+    generators still present.
     """
     current = [g.monic() for g in generators if not g.is_zero()]
+    if not current:
+        return []
+    ring = current[0].ring
+    for g in current:
+        if g.ring != ring:
+            raise ValueError("generators from different rings")
+        if not g.is_homogeneous():
+            raise ValueError("minimalize_generators expects homogeneous generators")
     current.sort(key=lambda h: grevlex_key(h.leading_monomial()))
-    idx = len(current) - 1
-    while idx >= 0:
-        others = current[:idx] + current[idx + 1 :]
-        if ideal_membership(current[idx], others):
-            current.pop(idx)
-        idx -= 1
-    return current
+    by_degree: dict[int, list[MultiPoly]] = {}
+    for g in current:
+        by_degree.setdefault(g.total_degree(), []).append(g)
+
+    survivors: list[MultiPoly] = []
+    basis: list[MultiPoly] = []
+    pairs: list[tuple[int, int]] = []
+    for degree, group in by_degree.items():
+        _reduce_pairs(basis, pairs, max_degree=degree)
+        forms = [normal_form(g, basis) for g in group]
+        alive = list(range(len(group)))
+        for idx in reversed(range(len(group))):
+            # among forms of one degree, a normal form is linear elimination:
+            # a leading monomial divides a monomial of its degree iff equal
+            span: list[MultiPoly] = []
+            for k in alive:
+                if k != idx:
+                    rest = normal_form(forms[k], span)
+                    if not rest.is_zero():
+                        span.append(rest)
+            if normal_form(forms[idx], span).is_zero():
+                alive.remove(idx)
+        for k in alive:
+            survivors.append(group[k])
+            nf = normal_form(forms[k], basis)
+            if not nf.is_zero():
+                _update(basis, pairs, nf.monic())
+    return survivors

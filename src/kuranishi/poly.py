@@ -118,11 +118,12 @@ class PolyRing:
 class MultiPoly:
     """An exact multivariate polynomial (immutable once constructed)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lm")
 
     def __init__(self, ring: PolyRing, terms: dict[Monomial, GaussianRational]) -> None:
         self.ring = ring
         self.terms = terms  # invariant: no zero coefficients
+        self._lm: Monomial | None = None  # leading monomial, computed on first use
 
     # -- basic structure ---------------------------------------------------
 
@@ -178,9 +179,11 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        if self._lm is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading monomial")
+            self._lm = max(self.terms, key=grevlex_key)
+        return self._lm
 
     def leading_coefficient(self) -> GaussianRational:
         return self.terms[self.leading_monomial()]
@@ -247,17 +250,6 @@ class MultiPoly:
             base = base * base
             n >>= 1
         return result
-
-    def derivative(self, var_index: int) -> "MultiPoly":
-        acc: dict[Monomial, GaussianRational] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var_index]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[var_index] = e - 1
-            acc[tuple(new)] = coeff * e
-        return MultiPoly(self.ring, acc)
 
     # -- evaluation / substitution -------------------------------------------
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from kuranishi.groebner import (
     reduced_groebner_basis,
     spoly,
 )
-from kuranishi.poly import MultiPoly, PolyRing
+from kuranishi.poly import MultiPoly, PolyRing, grevlex_key
 from kuranishi.scalars import GaussianRational
 
 from oracle_groebner import oracle_membership
@@ -137,6 +138,13 @@ def test_minimalize_generators() -> None:
     assert gens == [Y, X]
 
 
+def test_minimalize_generators_rejects_non_homogeneous_input() -> None:
+    with pytest.raises(ValueError, match="homogeneous"):
+        minimalize_generators([X * X, Y + Z * Z])
+    with pytest.raises(ValueError, match="homogeneous"):
+        minimalize_generators([X + R.one()])
+
+
 def test_radical_membership() -> None:
     assert radical_membership(X, [X * X])
     assert radical_membership(X * Y, [X * X * Y**3])
@@ -164,3 +172,85 @@ def test_membership_agrees_with_frozen_oracle() -> None:
         assert ideal_membership(candidate, gens) == expected
         agree += 1
     assert agree == 25
+
+
+# -- differential test of the minimalization survivor rule ------------------------------
+
+
+def _reference_minimalize(generators: list[MultiPoly]) -> list[MultiPoly]:
+    """The survivor rule decided by the frozen oracle, one candidate at a time:
+    from the largest leading monomial down, drop a generator that lies in the
+    ideal of the generators still present."""
+    current = [g.monic() for g in generators if not g.is_zero()]
+    current.sort(key=lambda h: grevlex_key(h.leading_monomial()))
+    idx = len(current) - 1
+    while idx >= 0:
+        if oracle_membership(current[idx], current[:idx] + current[idx + 1 :]):
+            current.pop(idx)
+        idx -= 1
+    return current
+
+
+def _monomials(degree: int) -> list[tuple[int, int, int]]:
+    return [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+
+
+def _random_form(rng: random.Random, degree: int) -> MultiPoly:
+    """A homogeneous polynomial of the given degree (possibly zero)."""
+    monos = _monomials(degree)
+    terms = [
+        (rng.choice(monos), GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)))
+        for _ in range(rng.randint(1, 2))
+    ]
+    return R.from_terms(terms)
+
+
+def _same_leading_monomial(rng: random.Random, g: MultiPoly) -> MultiPoly:
+    """A new generator whose leading monomial is that of ``g``."""
+    lm = g.leading_monomial()
+    smaller = [m for m in _monomials(sum(lm)) if grevlex_key(m) < grevlex_key(lm)]
+    h = R.monomial(lm, GaussianRational(rng.choice([1, 2, -1]), rng.randint(-1, 1)))
+    if smaller:
+        h = h + R.monomial(rng.choice(smaller), rng.randint(1, 2))
+    return h
+
+
+def test_minimalize_generators_matches_oracle_survivor_rule() -> None:
+    rng = random.Random(314)
+    degree_sets = [(1, 3), (2,), (1, 2), (2, 3), (1, 2, 3), (0, 2)]
+    features = {
+        "planted": 0, "s_pair": 0, "zero": 0, "equal_lm": 0, "gap": 0, "dropped": 0
+    }
+    cases = 120
+    for _ in range(cases):
+        degrees = rng.choice(degree_sets)
+        gens = [_random_form(rng, rng.choice(degrees)) for _ in range(rng.randint(2, 4))]
+        features["gap"] += degrees == (1, 3)
+        nonzero = [g for g in gens if not g.is_zero()]
+        if nonzero and rng.random() < 0.6:
+            # a planted consequence of the generators, in the top degree
+            top = max(degrees)
+            planted = R.zero()
+            for g in rng.sample(nonzero, min(2, len(nonzero))):
+                planted = planted + _random_form(rng, top - g.total_degree()) * g
+            gens.append(planted)
+            features["planted"] += 1
+        if len(nonzero) >= 2 and rng.random() < 0.5:
+            # a consequence whose leading terms cancel: only a Groebner basis
+            # of the lower-degree generators, not the generators, reduces it
+            f, g = rng.sample(nonzero, 2)
+            s = spoly(f, g)
+            if not s.is_zero() and s.total_degree() <= max(degrees):
+                gens.append(_random_form(rng, max(degrees) - s.total_degree()) * s)
+                features["s_pair"] += 1
+        if nonzero and rng.random() < 0.4:
+            gens.append(_same_leading_monomial(rng, rng.choice(nonzero)))
+            features["equal_lm"] += 1
+        if rng.random() < 0.3:
+            gens.insert(rng.randrange(len(gens) + 1), R.zero())
+        features["zero"] += sum(g.is_zero() for g in gens) > 0
+        rng.shuffle(gens)
+        expected = _reference_minimalize(gens)
+        assert minimalize_generators(gens) == expected, [str(g) for g in gens]
+        features["dropped"] += len(expected) < sum(not g.is_zero() for g in gens)
+    assert all(count >= 10 for count in features.values()), features
