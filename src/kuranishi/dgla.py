@@ -15,9 +15,11 @@ container this module provides
   recursive deformation equation.
 
 All choices are deterministic: harmonic representatives are kernel-basis
-vectors reduced modulo a row-echelon basis of the exact subspace, kept in
-kernel order, and the coexact complement consists of coordinate vectors at
-pivot columns of the differential under a selectable pivot rule.
+vectors reduced modulo the reduced echelon basis of the exact subspace
+(:class:`kuranishi.linalg.EchelonBasis`), kept in kernel order when they are
+independent of those kept before, and the coexact complement consists of
+coordinate vectors at pivot columns of the differential under a selectable
+pivot rule.
 """
 
 from __future__ import annotations
@@ -26,7 +28,15 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
-from .linalg import ExactMatrix, Vector, inverse, kernel_basis, pivot_columns, rref
+from .linalg import (
+    EchelonBasis,
+    ExactMatrix,
+    Vector,
+    inverse,
+    kernel_basis,
+    pivot_columns,
+    rref,
+)
 from .scalars import GaussianRational, ONE, ZERO
 
 __all__ = [
@@ -185,7 +195,7 @@ class Dgla:
         Works for scalar coordinates and for polynomial-valued coordinates
         (pass the polynomial ring's zero as ``zero``).
         """
-        return self.differential_matrix(degree).apply_generic(vec, zero)
+        return list(self.differential_matrix(degree).apply(vec, zero))
 
     def bracket_vectors(
         self,
@@ -349,12 +359,8 @@ def validate_dgla(dgla: Dgla) -> None:
 
 def cohomology_dimensions(dgla: Dgla) -> dict[int, int]:
     """Dimension of ``ker d / im d`` in every nonzero degree."""
-    dims: dict[int, int] = {}
-    for i in dgla.degrees():
-        rank_here = len(rref(dgla.differential_matrix(i))[1])
-        rank_below = len(rref(dgla.differential_matrix(i - 1))[1])
-        dims[i] = dgla.dim(i) - rank_here - rank_below
-    return dims
+    ranks = {i: len(rref(dgla.differential_matrix(i))[1]) for i in dgla.degrees()}
+    return {i: dgla.dim(i) - ranks[i] - ranks.get(i - 1, 0) for i in dgla.degrees()}
 
 
 def _block_diagonal(top_left: ExactMatrix, bottom_right: ExactMatrix) -> ExactMatrix:
@@ -431,40 +437,16 @@ class HodgeDegree:
     harmonic_coordinates: ExactMatrix
 
 
-def _echelon_reduce(
-    vec: Sequence[GaussianRational],
-    rows: Sequence[Sequence[GaussianRational]],
-    pivots: Sequence[int],
-) -> list[GaussianRational]:
-    out = list(vec)
-    for row, pivot in zip(rows, pivots):
-        c = out[pivot]
-        if not c.is_zero():
-            out = [x - c * r for x, r in zip(out, row)]
-    return out
-
-
 def _harmonic_representatives(
     kernel: Sequence[Vector], image_vectors: Sequence[Vector], n: int
 ) -> list[Vector]:
-    if image_vectors:
-        reduced_img, img_pivots = rref(ExactMatrix(list(image_vectors), ncols=n))
-        img_rows = reduced_img.rows[: len(img_pivots)]
-    else:
-        img_rows, img_pivots = [], ()
+    image = EchelonBasis(n, image_vectors)
+    seen = EchelonBasis(n)
     reps: list[Vector] = []
-    seen_rows: list[list[GaussianRational]] = []
-    seen_pivots: list[int] = []
     for vec in kernel:
-        reduced = _echelon_reduce(vec, img_rows, img_pivots)
-        probe = _echelon_reduce(reduced, seen_rows, seen_pivots)
-        lead = next((c for c, x in enumerate(probe) if not x.is_zero()), None)
-        if lead is None:
-            continue
-        reps.append(tuple(reduced))
-        inv = probe[lead].inverse()
-        seen_rows.append([x * inv for x in probe])
-        seen_pivots.append(lead)
+        reduced = image.reduce(vec)
+        if seen.add(reduced):
+            reps.append(tuple(reduced))
     return reps
 
 

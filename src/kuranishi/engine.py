@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .dgla import Dgla, HodgeDegree, cohomology_dimensions, hodge_decomposition
+from .dgla import Dgla, HodgeDegree, hodge_decomposition
 from .groebner import (
     ideal_equal,
     minimalize_generators,
     normal_form,
     reduced_groebner_basis,
 )
-from .linalg import ExactMatrix, Vector, rref
+from .linalg import EchelonBasis, ExactMatrix, Vector, rref
 from .poly import (
     MultiPoly,
     PolyRing,
@@ -44,7 +44,7 @@ from .poly import (
     pure_linear_power,
     quadric_split,
 )
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ONE
 
 __all__ = [
     "GermInvariants",
@@ -137,7 +137,7 @@ def _harmonic_poly_coordinates(
     record = problem.hodge.get(degree)
     if record is None or not record.harmonic:
         return []
-    return record.harmonic_coordinates.apply_generic(vec, problem.ring.zero())
+    return list(record.harmonic_coordinates.apply(vec, problem.ring.zero()))
 
 
 def expand_series(
@@ -171,7 +171,7 @@ def expand_series(
                 acc + value.scale(factor) for acc, value in zip(self_bracket, term)
             ]
         obstructions[k] = _harmonic_poly_coordinates(problem, 2, self_bracket)
-        correction = homotopy2.apply_generic(self_bracket, zero)
+        correction = homotopy2.apply(self_bracket, zero)
         series[k] = [p.scale(MINUS_HALF) for p in correction]
         for p in series[k]:
             if not p.is_zero() and not (
@@ -186,63 +186,13 @@ def expand_series(
 # -- exactness certificates ---------------------------------------------------
 
 
-class _EchelonSpan:
-    """Fully reduced row-echelon span tracker over the Gaussian rationals.
-
-    Rows are kept monic at their pivot and eliminated in every other row,
-    so membership, growth, and coordinate extraction are all direct.
-    """
-
-    def __init__(self, length: int) -> None:
-        self.length = length
-        self.rows: list[list[GaussianRational]] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, vec: Sequence[GaussianRational]) -> list[GaussianRational]:
-        out = list(vec)
-        for row, pivot in zip(self.rows, self.pivots):
-            c = out[pivot]
-            if not c.is_zero():
-                out = [x - c * r for x, r in zip(out, row)]
-        return out
-
-    def add(self, vec: Sequence[GaussianRational]) -> bool:
-        """Insert a vector; report whether the span grew."""
-        reduced = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(reduced) if not x.is_zero()), None)
-        if pivot is None:
-            return False
-        inv = reduced[pivot].inverse()
-        new_row = [x * inv for x in reduced]
-        for row in self.rows:
-            c = row[pivot]
-            if not c.is_zero():
-                for i in range(self.length):
-                    row[i] = row[i] - c * new_row[i]
-        position = next(
-            (i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots)
-        )
-        self.rows.insert(position, new_row)
-        self.pivots.insert(position, pivot)
-        return True
-
-    def contains(self, vec: Sequence[GaussianRational]) -> bool:
-        return all(x.is_zero() for x in self.reduce(vec))
-
-    def coordinates(self, vec: Sequence[GaussianRational]) -> list[GaussianRational] | None:
-        """Coordinates w.r.t. the echelon rows, or None if not in the span."""
-        if not self.contains(vec):
-            return None
-        return [vec[p] for p in self.pivots]
-
-
 def _delta_bracket(
     problem: KuranishiProblem,
     u: Sequence[GaussianRational],
     v: Sequence[GaussianRational],
 ) -> Vector:
     bracket = problem.dgla.bracket_vectors(1, list(u), 1, list(v))
-    return tuple(problem.homotopy(2).apply(bracket))
+    return problem.homotopy(2).apply(bracket)
 
 
 def _closure_certificate(problem: KuranishiProblem, saturation_cap: int = 64) -> dict | None:
@@ -253,10 +203,7 @@ def _closure_certificate(problem: KuranishiProblem, saturation_cap: int = 64) ->
     harmonic components of brackets of the saturated span vanish, every
     series term stays inside the span and every obstruction is zero.
     """
-    n = problem.dgla.dim(1)
-    span = _EchelonSpan(n)
-    for rep in problem.harmonic_reps:
-        span.add(rep)
+    span = EchelonBasis(problem.dgla.dim(1), problem.harmonic_reps)
     changed = True
     rounds = 0
     while changed:
@@ -304,7 +251,7 @@ def _rational_certificate(
     dgla = problem.dgla
     n = dgla.dim(1)
     reps = problem.harmonic_reps
-    span = _EchelonSpan(n)
+    span = EchelonBasis(n)
     for u in reps:
         for v in reps:
             span.add(_delta_bracket(problem, u, v))
@@ -327,41 +274,26 @@ def _rational_certificate(
     self_bracket = dgla.bracket_vectors(1, x1, 1, x1, zero=zero)
     forcing_vec = [
         p.scale(MINUS_HALF)
-        for p in problem.homotopy(2).apply_generic(self_bracket, zero)
+        for p in problem.homotopy(2).apply(self_bracket, zero)
     ]
+    if not span.contains(forcing_vec):
+        return None
     if width == 0:
-        if not _vector_is_zero(forcing_vec):
-            return None
         tail_num = [zero] * n
         q = ring.one()
     else:
         forcing = [forcing_vec[p] for p in span.pivots]
-        residual = list(forcing_vec)
-        for coeff, row in zip(forcing, [list(r) for r in span.rows]):
-            residual = [
-                res - coeff.scale(entry) if not entry.is_zero() else res
-                for res, entry in zip(residual, row)
-            ]
-        if not _vector_is_zero(residual):
-            return None
         # tail map: column j gives the span coordinates of
         # -homotopy[x1, basis_j]; entries are linear in the parameters
         columns: list[list[MultiPoly]] = []
         for row in basis:
             row_polys = [ring.constant(c) for c in row]
             bracket = dgla.bracket_vectors(1, x1, 1, row_polys, zero=zero)
-            image = problem.homotopy(2).apply_generic(bracket, zero)
+            image = problem.homotopy(2).apply(bracket, zero)
             image = [p.scale(GaussianRational(-1)) for p in image]
-            coords = [image[p] for p in span.pivots]
-            check = list(image)
-            for coeff, srow in zip(coords, [list(r) for r in span.rows]):
-                check = [
-                    c - coeff.scale(entry) if not entry.is_zero() else c
-                    for c, entry in zip(check, srow)
-                ]
-            if not _vector_is_zero(check):
+            if not span.contains(image):
                 return None
-            columns.append(coords)
+            columns.append([image[p] for p in span.pivots])
         system = [
             [
                 (ring.one() if i == j else ring.zero()) - columns[j][i]

@@ -2,7 +2,8 @@
 
 Produces the unique reduced Groebner basis under grevlex, which makes ideal
 equality a syntactic comparison.  Normal selection strategy (smallest pair
-lcm first); coprimality and chain criteria via the Gebauer-Moeller update.
+lcm first, each pair stored with its lcm); coprimality and chain criteria
+via the Gebauer-Moeller update.
 
 The same pair loop, stopped at a degree bound, drives the minimalization of
 homogeneous generator lists: generators are taken degree by degree against a
@@ -18,7 +19,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .poly import MultiPoly, PolyRing, grevlex_key
-from .scalars import GaussianRational
 
 __all__ = [
     "normal_form",
@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 Monomial = tuple[int, ...]
+
+#: A pending S-pair ``(grevlex_key(lcm), lcm, i, j)`` of basis positions
+#: ``i < j``; its lcm is fixed, so it is computed once, when the pair is made.
+Pair = tuple[tuple[int, tuple[int, ...]], Monomial, int, int]
 
 
 def _lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -84,28 +88,21 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
     return remainder
 
 
-def _update(
-    basis: list[MultiPoly],
-    pairs: list[tuple[int, int]],
-    candidate: MultiPoly,
-) -> None:
+def _update(basis: list[MultiPoly], pairs: list[Pair], candidate: MultiPoly) -> None:
     """Gebauer-Moeller update: append candidate, prune and extend the pair set."""
     lm_new = candidate.leading_monomial()
     t = len(basis)
     lms = [g.leading_monomial() for g in basis]
+    new_lcms = [_lcm(lm, lm_new) for lm in lms]
 
     # Chain criterion on old pairs: (i, j) is redundant once the new element
     # divides their lcm strictly finer on both sides.
-    kept: list[tuple[int, int]] = []
-    for i, j in pairs:
-        lij = _lcm(lms[i], lms[j])
-        if (
-            _divides(lm_new, lij)
-            and _lcm(lms[i], lm_new) != lij
-            and _lcm(lms[j], lm_new) != lij
-        ):
+    kept: list[Pair] = []
+    for pair in pairs:
+        _, lij, i, j = pair
+        if _divides(lm_new, lij) and new_lcms[i] != lij and new_lcms[j] != lij:
             continue
-        kept.append((i, j))
+        kept.append(pair)
     pairs.clear()
     pairs.extend(kept)
 
@@ -113,8 +110,8 @@ def _update(
     # class whose lcm is a proper multiple of another class's lcm; drop classes
     # that contain a coprime pair (Buchberger's first criterion).
     classes: dict[Monomial, list[int]] = {}
-    for i in range(t):
-        classes.setdefault(_lcm(lms[i], lm_new), []).append(i)
+    for i, l in enumerate(new_lcms):
+        classes.setdefault(l, []).append(i)
     ordered = sorted(classes.keys(), key=grevlex_key)
     minimal: list[Monomial] = []
     for l in ordered:
@@ -125,14 +122,14 @@ def _update(
         members = classes[l]
         if any(_mul(lms[i], lm_new) == l for i in members):
             continue  # coprime leading monomials: S-pair reduces to zero
-        pairs.append((members[0], t))
+        pairs.append((grevlex_key(l), l, members[0], t))
 
     basis.append(candidate)
 
 
 def _reduce_pairs(
     basis: list[MultiPoly],
-    pairs: list[tuple[int, int]],
+    pairs: list[Pair],
     max_degree: int | None = None,
 ) -> None:
     """Reduce S-pairs, smallest lcm first, extending ``basis`` in place.
@@ -142,15 +139,12 @@ def _reduce_pairs(
     homogeneous input the basis is then a Groebner basis up to that degree.
     """
     while pairs:
-        # normal selection: smallest lcm in grevlex, which is degree first
-        keys = [
-            grevlex_key(_lcm(basis[i].leading_monomial(), basis[j].leading_monomial()))
-            for i, j in pairs
-        ]
-        best = min(range(len(pairs)), key=keys.__getitem__)
-        if max_degree is not None and keys[best][0] > max_degree:
+        # normal selection: the first pair of smallest lcm in grevlex, which
+        # is degree first
+        best = min(range(len(pairs)), key=lambda k: pairs[k][0])
+        if max_degree is not None and pairs[best][0][0] > max_degree:
             return
-        i, j = pairs.pop(best)
+        _, _, i, j = pairs.pop(best)
         nf = normal_form(spoly(basis[i], basis[j]), basis)
         if not nf.is_zero():
             _update(basis, pairs, nf.monic())
@@ -165,7 +159,7 @@ def groebner_basis(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
     if any(g.ring != ring for g in gens):
         raise ValueError("generators from different rings")
     basis: list[MultiPoly] = []
-    pairs: list[tuple[int, int]] = []
+    pairs: list[Pair] = []
     for g in gens:
         nf = normal_form(g, basis)
         if not nf.is_zero():
@@ -269,7 +263,7 @@ def minimalize_generators(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
 
     survivors: list[MultiPoly] = []
     basis: list[MultiPoly] = []
-    pairs: list[tuple[int, int]] = []
+    pairs: list[Pair] = []
     for degree, group in by_degree.items():
         _reduce_pairs(basis, pairs, max_degree=degree)
         forms = [normal_form(g, basis) for g in group]

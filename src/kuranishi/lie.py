@@ -421,14 +421,10 @@ class ComplexStructure:
 
     def is_integrable(self) -> bool:
         """The (0,1)-part of [W_a, W_b] vanishes for all a < b."""
-        for a in range(self.m):
-            for b in range(a + 1, self.m):
-                coords = self.frame_bracket(a, b)
-                if any(not c.is_zero() for c in coords[self.m :]):
-                    return False
-        return True
+        return not self.integrability_failures()
 
     def integrability_failures(self) -> list[tuple[int, int]]:
+        """1-based pairs (a, b), a < b, where [W_a, W_b] has a (0,1)-part."""
         out = []
         for a in range(self.m):
             for b in range(a + 1, self.m):
@@ -455,14 +451,14 @@ class ComplexStructure:
         return True
 
     def classify(self) -> dict[str, object]:
+        series = self.algebra.lower_central_series()
+        nilpotent = series[-1] != -1
         return {
             "integrable": self.is_integrable(),
             "abelian": self.is_abelian(),
             "parallelizable": self.is_parallelizable(),
-            "nilpotent": self.algebra.is_nilpotent(),
-            "nilpotency_index": self.algebra.nilpotency_index()
-            if self.algebra.is_nilpotent()
-            else None,
+            "nilpotent": nilpotent,
+            "nilpotency_index": len(series) if nilpotent else None,
         }
 
     def change_frame(self, q_columns: Sequence[Sequence[object]]) -> "ComplexStructure":

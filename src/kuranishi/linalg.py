@@ -1,13 +1,24 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
+All row elimination goes through one routine, :class:`EchelonBasis`: it
+keeps the reduced row echelon form of a growing span (rows monic at their
+pivot, zero at every other row's pivot, sorted by pivot), which is unique,
+so the rows and pivots do not depend on the order the vectors arrive in.
+Its ``reduce`` subtracts ``c.scale(row)``, so it also reduces
+polynomial-valued vectors against a scalar span.
+
 All decisions that depend on basis choices are made deterministic:
 
-* ``rref`` scans columns left to right and rows top down.
+* ``rref`` inserts the rows of a matrix into an ``EchelonBasis`` and pads
+  the zero rows at the bottom.
 * ``kernel_basis`` emits one vector per free column, in increasing column
   order, with entry 1 at the free position.
 * ``pivot_columns`` supports an ``earliest`` rule (standard rref pivots) and a
   ``latest`` rule (pivots of the column-reversed matrix mapped back), so a
   caller can pick coordinate complements under either convention.
+
+``ExactMatrix.apply`` is the one matrix-vector product; its vector entries
+may be scalars or polynomials.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from typing import Iterable, Sequence
 from .scalars import GaussianRational, ONE, ZERO
 
 __all__ = [
+    "EchelonBasis",
     "ExactMatrix",
     "rref",
     "kernel_basis",
@@ -93,9 +105,6 @@ class ExactMatrix:
             and self.rows == other.rows
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - matrices rarely hashed
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
-
     def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
         i, j = key
         return self.rows[i][j]
@@ -150,21 +159,11 @@ class ExactMatrix:
                         dest[j] = dest[j] + a * b
         return ExactMatrix(out, ncols=other.ncols)
 
-    def apply(self, vec: Sequence[object]) -> Vector:
-        """Matrix-vector product (vector indexed by columns)."""
-        v = _coerce_row(vec)
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(
-            sum((a * b for a, b in zip(row, v) if not a.is_zero()), ZERO)
-            for row in self.rows
-        )
-
-    def apply_generic(self, vec: Sequence[object], zero: object) -> list[object]:
-        """Matrix-vector product over any coefficient module.
+    def apply(self, vec: Sequence[object], zero: object = ZERO) -> tuple[object, ...]:
+        """Matrix-vector product (vector indexed by columns).
 
         The vector entries may live in any ring with ``+``, ``is_zero`` and a
-        ``scale`` method accepting a :class:`GaussianRational` (for example
+        ``scale`` method accepting a :class:`GaussianRational` (scalars, or
         polynomial-valued coordinates); ``zero`` supplies the additive
         identity of that ring.
         """
@@ -178,7 +177,7 @@ class ExactMatrix:
                     continue
                 acc = acc + x.scale(coeff)
             out.append(acc)
-        return out
+        return tuple(out)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
@@ -206,36 +205,76 @@ class ExactMatrix:
         )
 
 
+def _subtract_multiple(vec: list, c: object, row: Sequence[GaussianRational]) -> list:
+    """``vec - c * row``, with ``c.scale`` so ``c`` may be a polynomial."""
+    return [x if r.is_zero() else x - c.scale(r) for x, r in zip(vec, row)]
+
+
+class EchelonBasis:
+    """The reduced row echelon basis of a growing span of vectors.
+
+    ``rows`` are monic at their pivot, zero at every other row's pivot, and
+    sorted by pivot; ``pivots`` lists those pivot columns.  This form of a
+    span is unique, so it does not depend on the insertion order.
+    """
+
+    __slots__ = ("length", "rows", "pivots")
+
+    def __init__(self, length: int, vectors: Iterable[Sequence[object]] = ()) -> None:
+        self.length = length
+        self.rows: list[list[GaussianRational]] = []
+        self.pivots: list[int] = []
+        for vec in vectors:
+            self.add(vec)
+
+    def reduce(self, vec: Sequence[object]) -> list[object]:
+        """``vec`` minus ``vec[p].scale(row)`` for each row and its pivot ``p``.
+
+        The entries may be scalars or polynomials; the result vanishes at
+        every pivot, and is zero iff ``vec`` lies in the span.
+        """
+        if len(vec) != self.length:
+            raise ValueError("vector length mismatch")
+        out = list(vec)
+        for row, pivot in zip(self.rows, self.pivots):
+            c = out[pivot]
+            if not c.is_zero():
+                out = _subtract_multiple(out, c, row)
+        return out
+
+    def add(self, vec: Sequence[object]) -> bool:
+        """Insert a scalar vector; report whether the span grew."""
+        reduced = self.reduce(vec)
+        pivot = next((i for i, x in enumerate(reduced) if not x.is_zero()), None)
+        if pivot is None:
+            return False
+        inv = reduced[pivot].inverse()
+        new_row = [x * inv for x in reduced]
+        for k, row in enumerate(self.rows):
+            c = row[pivot]
+            if not c.is_zero():
+                self.rows[k] = _subtract_multiple(row, c, new_row)
+        position = next(
+            (k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots)
+        )
+        self.rows.insert(position, new_row)
+        self.pivots.insert(position, pivot)
+        return True
+
+    def contains(self, vec: Sequence[object]) -> bool:
+        """Whether ``vec`` (scalar or polynomial entries) lies in the span."""
+        return all(x.is_zero() for x in self.reduce(vec))
+
+
 def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form with its pivot columns.
 
-    Deterministic: columns are scanned left to right; within a column the
-    first row (top down) with a nonzero entry becomes the pivot row.
+    The nonzero rows are the :class:`EchelonBasis` of the row span; zero
+    rows pad the result to the matrix's height.
     """
-    m = [list(r) for r in matrix.rows]
-    nrows, ncols = matrix.nrows, matrix.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [inv * v for v in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return ExactMatrix(m, ncols=ncols), tuple(pivots)
+    basis = EchelonBasis(matrix.ncols, matrix.rows)
+    zeros = [[ZERO] * matrix.ncols for _ in range(matrix.nrows - len(basis.rows))]
+    return ExactMatrix(basis.rows + zeros, ncols=matrix.ncols), tuple(basis.pivots)
 
 
 def pivot_columns(matrix: ExactMatrix, rule: str = "earliest") -> tuple[int, ...]:

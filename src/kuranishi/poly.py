@@ -488,16 +488,7 @@ def quadric_split(g: MultiPoly) -> tuple[MultiPoly, MultiPoly] | None:
     # no squared variable: g = x_k * b + c with b, c free of x_k
     k = support[0]
     x = ring.var(ring.variables[k])
-    b = ring.zero()
-    for j in support:
-        if j == k:
-            continue
-        exps = [0] * ring.nvars
-        exps[k] = 1
-        exps[j] = 1
-        cj = g.coefficient(tuple(exps))
-        if not cj.is_zero():
-            b = b + ring.var(ring.variables[j]).scale(cj)
+    b = _cross_term(g, k)
     c = g - x * b
     if c.is_zero():
         return (x, b)
@@ -507,11 +498,10 @@ def quadric_split(g: MultiPoly) -> tuple[MultiPoly, MultiPoly] | None:
     return (b, x + quotient.scale(b.leading_coefficient().inverse()))
 
 
-def _split_with_square_term(
-    g: MultiPoly, k: int, a: GaussianRational
-) -> tuple[MultiPoly, MultiPoly] | None:
+def _cross_term(g: MultiPoly, k: int) -> MultiPoly:
+    """The linear form ``b`` free of ``x_k`` with ``x_k * b`` the cross terms
+    of the quadric ``g`` that contain ``x_k`` exactly once."""
     ring = g.ring
-    x = ring.var(ring.variables[k])
     b = ring.zero()
     for j in g.support_variables():
         if j == k:
@@ -522,6 +512,15 @@ def _split_with_square_term(
         cj = g.coefficient(tuple(exps))
         if not cj.is_zero():
             b = b + ring.var(ring.variables[j]).scale(cj)
+    return b
+
+
+def _split_with_square_term(
+    g: MultiPoly, k: int, a: GaussianRational
+) -> tuple[MultiPoly, MultiPoly] | None:
+    ring = g.ring
+    x = ring.var(ring.variables[k])
+    b = _cross_term(g, k)
     c = g - (x * x).scale(a) - x * b
     disc = b * b - c.scale(a).scale(4)
     if disc.is_zero():

@@ -43,14 +43,6 @@ def run_analysis(
 def build_report(config: AnalysisConfig, result: StructureAnalysis) -> dict:
     """Assemble the full report dictionary for one analysis run."""
 
-    classification = {
-        "integrable": result.classification["integrable"],
-        "abelian": result.classification["abelian"],
-        "parallelizable": result.classification["parallelizable"],
-        "nilpotent": result.classification["nilpotent"],
-        "nilpotencyIndex": result.classification["nilpotency_index"],
-    }
-
     blocks = {
         block.name: _block_payload(block)
         for block in (result.deformation, result.endomorphism, result.joint)
@@ -79,7 +71,7 @@ def build_report(config: AnalysisConfig, result: StructureAnalysis) -> dict:
             "truncationOrder": config.truncation,
             "curvature": result.pair.has_curvature(),
         },
-        "classification": classification,
+        "classification": _classification_payload(result.classification),
         "blocks": blocks,
         "coupling": {
             "isZero": result.coupling_is_zero,
@@ -110,6 +102,16 @@ def build_report(config: AnalysisConfig, result: StructureAnalysis) -> dict:
     }
     report["warnings"] = _warnings(config, result)
     return report
+
+
+def _classification_payload(classification: dict) -> dict:
+    return {
+        "integrable": classification["integrable"],
+        "abelian": classification["abelian"],
+        "parallelizable": classification["parallelizable"],
+        "nilpotent": classification["nilpotent"],
+        "nilpotencyIndex": classification["nilpotency_index"],
+    }
 
 
 def _block_payload(block: BlockAnalysis) -> dict:
@@ -214,7 +216,6 @@ def build_validation_report(config: AnalysisConfig) -> dict:
     ``valid: false`` and the gate's message instead of the block data.
     """
 
-    classification = config.structure.classify()
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "input": {
@@ -224,13 +225,7 @@ def build_validation_report(config: AnalysisConfig) -> dict:
             "bundleRank": config.rank,
             "curvature": config.curvature is not None,
         },
-        "classification": {
-            "integrable": classification["integrable"],
-            "abelian": classification["abelian"],
-            "parallelizable": classification["parallelizable"],
-            "nilpotent": classification["nilpotent"],
-            "nilpotencyIndex": classification["nilpotency_index"],
-        },
+        "classification": _classification_payload(config.structure.classify()),
     }
     try:
         pair = build_pair_dgla(config.structure, config.rank, curvature=config.curvature)

@@ -237,10 +237,6 @@ class GaussianRational:
     def __hash__(self) -> int:
         return hash((self.re, self.im))
 
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        """A deterministic (non-algebraic) ordering key for stable output."""
-        return (self.re, self.im)
-
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:

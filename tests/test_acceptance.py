@@ -280,7 +280,7 @@ def _assert_series_solves_fixed_point(block) -> None:
     for vec in analysis.series.values():
         total = [a + b for a, b in zip(total, vec)]
     bracket = block.dgla.bracket_vectors(1, total, 1, total, zero=zero)
-    correction = problem.homotopy(2).apply_generic(bracket, zero)
+    correction = problem.homotopy(2).apply(bracket, zero)
     half = G(Fraction(1, 2))
     for position, (x_total, corr) in enumerate(zip(total, correction)):
         residual = x_total + corr.scale(half)

@@ -1,0 +1,127 @@
+"""Differential tests of ``EchelonBasis`` against the frozen echelon oracle.
+
+The inputs are seeded Gaussian-rational matrices with zero rows, zero
+columns and dependent rows mixed in, so every branch of the elimination
+(no pivot, back-elimination, insertion between pivots) is taken.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_linalg as oracle
+from kuranishi.dgla import _harmonic_representatives
+from kuranishi.linalg import EchelonBasis, ExactMatrix, kernel_basis, rref
+from kuranishi.poly import PolyRing
+from kuranishi.scalars import GaussianRational, ZERO
+
+entries = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        GaussianRational,
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    ),
+)
+
+
+@st.composite
+def row_lists(draw: st.DrawFn, max_dim: int = 5) -> list[list[GaussianRational]]:
+    """Rows of one length, with dependent rows, a zero row and a zero column."""
+    nrows = draw(st.integers(1, max_dim))
+    ncols = draw(st.integers(1, max_dim))
+    rows = draw(
+        st.lists(
+            st.lists(entries, min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(st.integers(0, len(rows) - 1))
+        b = draw(st.integers(0, len(rows) - 1))
+        c = draw(entries)
+        rows.append([x + c * y for x, y in zip(rows[a], rows[b])])
+    if draw(st.booleans()):
+        rows.append([ZERO] * ncols)
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols))
+        rows = [row[:col] + [ZERO] + row[col:] for row in rows]
+    return draw(st.permutations(rows))
+
+
+@given(row_lists())
+@settings(max_examples=80, deadline=None)
+def test_rref_matches_the_oracle(rows: list[list[GaussianRational]]) -> None:
+    matrix = ExactMatrix(rows)
+    assert rref(matrix) == oracle.rref(matrix)
+
+
+@given(row_lists())
+@settings(max_examples=80, deadline=None)
+def test_insertions_match_the_oracle_span(rows: list[list[GaussianRational]]) -> None:
+    basis = EchelonBasis(len(rows[0]))
+    span = oracle._EchelonSpan(len(rows[0]))
+    for row in rows:
+        assert basis.add(row) == span.add(row)
+        assert basis.rows == span.rows
+        assert basis.pivots == span.pivots
+        assert basis.contains(row)
+
+
+@given(row_lists(), row_lists(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_harmonic_representatives_match_the_oracle(
+    outgoing: list[list[GaussianRational]],
+    extra: list[list[GaussianRational]],
+    data: st.DataObject,
+) -> None:
+    """Image vectors are combinations of kernel vectors, as for a
+    differential, or arbitrary vectors of the same length."""
+    n = len(outgoing[0])
+    kernel = kernel_basis(ExactMatrix(outgoing))
+    image = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        vec = [ZERO] * n
+        for k in kernel:
+            c = data.draw(entries)
+            vec = [x + c * y for x, y in zip(vec, k)]
+        image.append(tuple(vec))
+    if data.draw(st.booleans()):
+        image += [tuple((row + [ZERO] * n)[:n]) for row in extra]
+    assert _harmonic_representatives(kernel, image, n) == (
+        oracle._harmonic_representatives(kernel, image, n)
+    )
+
+
+@given(row_lists(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_polynomial_reduce_matches_the_oracle_residual(
+    rows: list[list[GaussianRational]], data: st.DataObject
+) -> None:
+    """Polynomial-valued vectors: planted span combinations plus noise."""
+    ring = PolyRing(["s", "t"])
+    n = len(rows[0])
+    basis = EchelonBasis(n, rows)
+    span = oracle._EchelonSpan(n)
+    for row in rows:
+        span.add(row)
+
+    def poly():
+        coeffs = [data.draw(entries) for _ in range(3)]
+        return (
+            ring.constant(coeffs[0])
+            + ring.var("s").scale(coeffs[1])
+            + (ring.var("s") * ring.var("t")).scale(coeffs[2])
+        )
+
+    planted = [ring.zero()] * n
+    for row in basis.rows:
+        c = poly()
+        planted = [x + c.scale(r) for x, r in zip(planted, row)]
+    assert all(p.is_zero() for p in basis.reduce(planted))
+    noisy = [x + poly() if data.draw(st.booleans()) else x for x in planted]
+    assert basis.reduce(noisy) == oracle.polynomial_residual(noisy, span)

@@ -459,7 +459,7 @@ def test_series_solves_the_deformation_equation(name):
     for vec in analysis.series.values():
         total = [a + b for a, b in zip(total, vec)]
     bracket = block.dgla.bracket_vectors(1, total, 1, total, zero=zero)
-    image = problem.homotopy(2).apply_generic(bracket, zero)
+    image = problem.homotopy(2).apply(bracket, zero)
     half = G(Fraction(1, 2))
     for position, (x_total, corr) in enumerate(zip(total, image)):
         recovered = x_total + corr.scale(half)

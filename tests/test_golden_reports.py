@@ -4,6 +4,12 @@ A change to a hot path (Groebner bases, series, echelon forms, scalars) must
 leave every report byte-identical.  The digests are SHA-256 of
 ``render_json(build_report(...))``, which is what ``kuranishi analyze
 --catalog NAME --rank R --format json`` prints.
+
+The catalog inputs have sparse unit coefficients.  Two dense inputs pin the
+same bytes for non-unit Gaussian rationals: the torus and the Iwasawa
+structure with the rows of their holomorphic coframe mixed by one fixed
+invertible matrix, which keeps the complex structure and makes every frame
+coefficient dense.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import pytest
 
 from kuranishi.config import load_config
 from kuranishi.report import build_report, render_json, run_analysis
+from kuranishi.scalars import GaussianRational
 
 GOLDEN_SHA256 = {
     ("example1", 1): "94cdcbb1cdb8f2de8860db733aeaa84cdd7f0b4f046b537b8f95674b2a7cd478",
@@ -32,3 +39,59 @@ def test_catalog_report_bytes_are_pinned(name: str, rank: int) -> None:
     config = load_config({"catalog": name, "bundleRank": rank})
     text = render_json(build_report(config, run_analysis(config)))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[(name, rank)]
+
+
+# Standard coframe (x1 - i x2, x3 - i x4, x5 - i x6) and the mixing matrix
+# applied to its rows, both in the config's scalar wire form.
+_STANDARD_FRAME = [
+    [1, [0, -1], 0, 0, 0, 0],
+    [0, 0, 1, [0, -1], 0, 0],
+    [0, 0, 0, 0, 1, [0, -1]],
+]
+_MIXING = [
+    [1, ["1/3", "2/3"], ["-2/3", "1/3"]],
+    [["2/3", "-1/3"], [0, 1], ["1/3", "-2/3"]],
+    [["-1/3", "-2/3"], ["2/3", "1/3"], -1],
+]
+_ALGEBRAS = {
+    "torus": {"dimension": 6, "constants": []},
+    "iwasawa": {
+        "dimension": 6,
+        "constants": [
+            [1, 3, 5, "-1/2"],
+            [1, 4, 6, "-1/2"],
+            [2, 3, 6, "-1/2"],
+            [2, 4, 5, "1/2"],
+        ],
+    },
+}
+
+DENSE_GOLDEN_SHA256 = {
+    "torus": "2c725e10615d9839d6085ceb2c7f638b2e3000073e25a8d85e9132fe7b3fe87b",
+    "iwasawa": "c823c0c70d562feb63d99e4a0a7212cfe06179afe1cee09ef51248d9abb21849",
+}
+
+
+def _mixed_frame() -> list[list[object]]:
+    mixing = [[GaussianRational.from_json(x) for x in row] for row in _MIXING]
+    frame = [[GaussianRational.from_json(x) for x in row] for row in _STANDARD_FRAME]
+    rows = []
+    for mix_row in mixing:
+        row = [GaussianRational(0)] * len(frame[0])
+        for coeff, frame_row in zip(mix_row, frame):
+            row = [acc + coeff * x for acc, x in zip(row, frame_row)]
+        rows.append([x.to_json() for x in row])
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_GOLDEN_SHA256))
+def test_mixed_coframe_report_bytes_are_pinned(name: str) -> None:
+    config = load_config(
+        {
+            "lieAlgebra": _ALGEBRAS[name],
+            "complexStructure": {"frame": _mixed_frame()},
+            "bundleRank": 1,
+        }
+    )
+    text = render_json(build_report(config, run_analysis(config)))
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSE_GOLDEN_SHA256[name]
