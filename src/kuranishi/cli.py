@@ -14,7 +14,9 @@ Subcommands
     Re-run the catalog entries that carry expected-invariant tables and
     compare the computed invariants against them.  Exit 1 on mismatch.
 
-Exit codes: 0 success, 1 computational mismatch, 2 invalid input.
+Exit codes: 0 success, 1 computational mismatch or internal failure, 2
+invalid input.  No exception ends in a traceback: an unexpected one prints
+``internal error: <Type>: <message>`` on one line and exits 1.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -470,3 +473,40 @@ def test_console_script_smoke():
     )
     assert completed.returncode == 0
     assert "example1" in completed.stdout
+
+
+def test_module_entry_point_smoke():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-m", "kuranishi", "catalog"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "example1" in completed.stdout
+
+
+@pytest.mark.parametrize(
+    ("error", "line"),
+    [
+        (
+            ZeroDivisionError("division by zero"),
+            "internal error: ZeroDivisionError: division by zero",
+        ),
+        (KeyError("frame"), "internal error: KeyError: 'frame'"),
+    ],
+)
+def test_cli_unexpected_exception_exits_one_with_one_line(monkeypatch, capsys, error, line):
+    def broken_handler(args):
+        raise error
+
+    monkeypatch.setattr("kuranishi.cli._cmd_catalog", broken_handler)
+    assert main(["catalog"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+    assert "Traceback" not in captured.err

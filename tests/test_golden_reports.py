@@ -31,6 +31,12 @@ GOLDEN_SHA256 = {
     ("n8", 1): "a62e73a0fba1a3a0f06f71537e20e44ea6756a2d16e50fda778ca752ee0dada8",
     ("n9", 1): "5c29754196e461ee284005422043aecc9c0380fb19a1d440eca15f104e9744b7",
     ("example1", 2): "7ada3b6064c675db49ca2ae35cb0a88736ad4ae7672c2326718f8ac3334c044b",
+    ("example2", 2): "266c74bf967fe8d68782af447f884a778faec2dd4edf0d1f09651c394c5c8bb9",
+    ("iwasawa", 2): "8d08ae14fb5c747a9e7607591e354866af993377f145b2a3bea6641de6260f13",
+    ("torus", 2): "b194b7786c234be2e0a744286a9b2a7f2912e77fe316ee5172799f58b6e18bcd",
+    ("n3", 2): "a74cbfc63b3086248ce470f3bc070f0b24bf5ce7f2fe957c506b2c9d77897dd5",
+    ("n8", 2): "37ab8b17327365149f0390fa19a14a06dbdffd623a31ca2910633782ee613860",
+    ("n9", 2): "6a2cfc8e114bda0049324178ba3b9d062492e4f49502eb8d3be9307a35260154",
 }
 
 

@@ -157,6 +157,14 @@ def test_sqrt_examples() -> None:
     assert GaussianRational(3, 4).sqrt() == GaussianRational(2, 1)
 
 
+def test_sqrt_self_check_raises_runtime_error(monkeypatch) -> None:
+    # A wrong rational square root makes the candidate root square to
+    # something else; the check must raise, not assert.
+    monkeypatch.setattr("kuranishi.scalars.rational_sqrt", lambda value: Fraction(1))
+    with pytest.raises(RuntimeError, match="square root"):
+        GaussianRational(3, 4).sqrt()
+
+
 def test_str_forms() -> None:
     assert str(GaussianRational("1/2", "-3/4")) == "1/2-3/4*i"
     assert str(GaussianRational(0, 1)) == "i"
