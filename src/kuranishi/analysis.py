@@ -1,13 +1,13 @@
 """End-to-end analysis of a nilmanifold complex structure with a bundle.
 
-This module wires the invariant-complex builders to the Kuranishi engine:
-it builds the deformation complex, the endomorphism complex of the trivial
-bundle of a chosen rank, and their joint complex, runs the series and
-obstruction analysis on each block, decides smoothness of the three germs,
-and issues the splitting verdict.  It also carries two side checks that
-only depend on the structure itself: the abelian-preservation locus of the
-linear deformation term, and nilpotency-degree bounds on the certified
-obstruction generators.
+This module wires the invariant-complex builder to the Kuranishi engine:
+it builds the joint complex of the structure and the trivial bundle of a
+chosen rank, with the deformation and endomorphism complexes as its two
+blocks, runs the series and obstruction analysis on each of the three,
+decides smoothness of the three germs, and issues the splitting verdict.
+It also carries two side checks that only depend on the structure itself:
+the abelian-preservation locus of the linear deformation term, and
+nilpotency-degree bounds on the certified obstruction generators.
 """
 
 from __future__ import annotations

@@ -1,21 +1,21 @@
-"""Builders for the invariant deformation complexes of a nilmanifold.
+"""Builder for the invariant deformation DGLA of a (nilmanifold, bundle) pair.
 
 Given a nilpotent Lie algebra with an integrable left-invariant complex
-structure, three differential graded Lie algebras are constructed on bases
-of invariant forms (the conjugate coframe legs are labelled ``a1..am``):
+structure and a bundle rank r, one differential graded Lie algebra is built
+on (0,q)-forms in the conjugate coframe legs ``a1..am`` with values in one
+algebra W + gl_r: the holomorphic frame directions ``W1..Wm`` followed by
+the r-by-r matrix units ``E11..Err``.  Its bracket is one rule: wedge the
+forms, bracket the values (the holomorphic part of the frame bracket on W,
+the commutator on gl_r), and let each W value act on the other form by
+contracting its holomorphic leg into that form's differential.
 
-* the *deformation* DGLA: (0,q)-forms with values in the holomorphic frame
-  directions ``W1..Wm``, governing deformations of the complex structure;
-* the *endomorphism* DGLA: (0,q)-forms with values in r-by-r matrices
-  ``E11..Err``, governing deformations of the trivial rank-r holomorphic
-  bundle;
-* the *pair* DGLA: the direct sum of the two (deformation block first in
-  every degree) plus a coupling bracket that feeds a deformation direction
-  into the bundle block by contracting its holomorphic leg into the
-  exterior differential of the form part.
-
-Every pair build is validated against the full set of DGLA axioms and
-aborts on failure; the single-block builders validate by default as well.
+The two blocks are read off the joint DGLA.  The W-valued forms, in the
+leading positions of every degree, make the *deformation* DGLA of the
+complex structure; the gl_r-valued forms, in the trailing positions, make
+the *endomorphism* DGLA of the trivial bundle.  The gl_r block is an ideal
+and the W block is the quotient by it (a sub-DGLA when there is no
+curvature), so both are lawful whenever the joint DGLA is.  Every build is
+validated against the full set of DGLA axioms and aborts on failure.
 """
 
 from __future__ import annotations
@@ -24,17 +24,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .dgla import BasisKey, Dgla, DglaAxiomError, direct_sum, validate_dgla
+from .dgla import BracketTable, Dgla, DglaAxiomError, validate_dgla
 from .lie import ComplexStructure, _normalize_word, ce_differential
 from .linalg import ExactMatrix
 from .scalars import GaussianRational, ONE, ZERO
 
-__all__ = [
-    "PairDgla",
-    "build_deformation_dgla",
-    "build_endomorphism_dgla",
-    "build_pair_dgla",
-]
+__all__ = ["PairDgla", "build_pair_dgla"]
+
+#: A basis element: its sorted conjugate-leg word and its value index, which
+#: is ``a`` for ``W{a+1}`` and ``m + u*r + v`` for ``E{u+1}{v+1}``.
+Element = tuple[tuple[int, ...], int]
 
 
 def _integrability_gate(structure: ComplexStructure) -> None:
@@ -53,10 +52,6 @@ def _form_label(word: tuple[int, ...], value_label: str) -> str:
         return value_label
     forms = "^".join(f"a{j + 1}" for j in word)
     return f"{forms}*{value_label}"
-
-
-def _anti_words(m: int) -> dict[int, list[tuple[int, ...]]]:
-    return {q: list(combinations(range(m), q)) for q in range(m + 1)}
 
 
 def _contraction_coefficients(
@@ -102,208 +97,38 @@ def _replace_slots(
     return out
 
 
-def _scalar_differentials(
-    structure: ComplexStructure, words: dict[int, list[tuple[int, ...]]]
-) -> dict[int, ExactMatrix | None]:
-    """The (0,q) -> (0,q+1) component of the exterior differential per degree.
+def _value_bracket(
+    structure: ComplexStructure, rank: int, x: int, y: int
+) -> list[tuple[int, GaussianRational]]:
+    """``[x, y]`` of two values as ``(value, coeff)`` terms.
 
-    Columns follow the ``words`` ordering, which matches the ascending-word
-    ordering of the full form basis restricted to conjugate legs.
+    The holomorphic part of the frame bracket on W, the commutator on gl_r,
+    and zero between the two: a W value reaches a gl_r-valued form through
+    its form part only.
     """
     m = structure.m
-    out: dict[int, ExactMatrix | None] = {}
-    for q in range(m):
-        out[q] = ce_differential(structure, 0, q).get((0, q + 1))
+    if x < m and y < m:
+        hol = structure.frame_bracket(x, y)[:m]
+        return [(c, coeff) for c, coeff in enumerate(hol) if not coeff.is_zero()]
+    if x < m or y < m:
+        return []
+    (u, v), (s, t) = divmod(x - m, rank), divmod(y - m, rank)
+    out = []
+    if v == s:
+        out.append((m + u * rank + t, ONE))
+    if t == u:
+        out.append((m + s * rank + v, -ONE))
     return out
 
 
-def build_deformation_dgla(structure: ComplexStructure, *, check: bool = True) -> Dgla:
-    """The DGLA of conjugate-coframe forms valued in holomorphic directions.
-
-    Degree q has basis ``a{i1}^...^a{iq}*W{a}`` (form-major, vector minor).
-    The differential combines the (0,q+1) component of the exterior
-    differential on the form part with the holomorphic-projection action of
-    the conjugate frame on the vector part; the bracket combines the
-    holomorphic projection of the frame bracket with the two contraction
-    terms required by graded antisymmetry.
-
-    Raises ``ValueError`` when the structure is not integrable.
-    """
-    _integrability_gate(structure)
-    m = structure.m
-    words = _anti_words(m)
-    index = {q: {w: i for i, w in enumerate(ws)} for q, ws in words.items()}
-    basis = {
-        q: [_form_label(w, f"W{a + 1}") for w in ws for a in range(m)]
-        for q, ws in words.items()
-    }
-    lam = _contraction_coefficients(structure)
-    scalar = _scalar_differentials(structure, words)
-
-    differentials: dict[int, ExactMatrix] = {}
-    for q in range(m):
-        nrows, ncols = len(words[q + 1]) * m, len(words[q]) * m
-        rows = [[ZERO] * ncols for _ in range(nrows)]
-        for ci, word in enumerate(words[q]):
-            for a in range(m):
-                col = ci * m + a
-                matrix = scalar[q]
-                if matrix is not None:
-                    for ri in range(matrix.nrows):
-                        v = matrix.rows[ri][ci]
-                        if not v.is_zero():
-                            rows[ri * m + a][col] = rows[ri * m + a][col] + v
-                for b in range(m):
-                    if b in word:
-                        continue
-                    new_word, sign = _normalize_word((b,) + word)
-                    base = index[q + 1][new_word] * m
-                    action = structure.frame_bracket(m + b, a)
-                    for c in range(m):
-                        v = action[c]
-                        if not v.is_zero():
-                            rows[base + c][col] = rows[base + c][col] + v * sign
-        differentials[q] = ExactMatrix(rows, ncols=ncols)
-
-    entries: dict[tuple[BasisKey, BasisKey], dict[int, GaussianRational]] = {}
-    for p in range(m + 1):
-        for q in range(p, m + 1):
-            if p + q > m:
-                continue
-            for ia, word_a in enumerate(words[p]):
-                for a in range(m):
-                    for jb, word_b in enumerate(words[q]):
-                        for b in range(m):
-                            if q == p and jb * m + b < ia * m + a:
-                                continue
-                            entry = _deformation_bracket(
-                                structure, lam, index, m, word_a, a, word_b, b
-                            )
-                            if entry:
-                                key = ((p, ia * m + a), (q, jb * m + b))
-                                entries[key] = entry
-    dgla = Dgla.from_bracket_entries(basis, differentials, entries)
-    if check:
-        validate_dgla(dgla)
-    return dgla
-
-
-def _deformation_bracket(
-    structure: ComplexStructure,
-    lam: list[list[dict[int, GaussianRational]]],
-    index: dict[int, dict[tuple[int, ...], int]],
-    m: int,
-    word_a: tuple[int, ...],
-    a: int,
-    word_b: tuple[int, ...],
-    b: int,
-) -> dict[int, GaussianRational]:
-    out: dict[int, GaussianRational] = {}
-
-    def add(word: tuple[int, ...], c: int, coeff: GaussianRational) -> None:
-        if coeff.is_zero():
-            return
-        pos = index[len(word)][word] * m + c
-        total = out.get(pos, ZERO) + coeff
-        if total.is_zero():
-            out.pop(pos, None)
-        else:
-            out[pos] = total
-
-    normalized = _normalize_word(word_a + word_b)
-    if normalized is not None:
-        word, sign = normalized
-        hol = structure.frame_bracket(a, b)
-        for c in range(m):
-            add(word, c, hol[c] * sign)
-    for new_word, s1, coeff in _replace_slots(word_b, lam[a]):
-        normalized = _normalize_word(word_a + new_word)
-        if normalized is None:
-            continue
-        word, s2 = normalized
-        add(word, b, coeff * (s1 * s2))
-    mirror_sign = -ONE if (len(word_a) * len(word_b)) % 2 == 0 else ONE
-    for new_word, s1, coeff in _replace_slots(word_a, lam[b]):
-        normalized = _normalize_word(word_b + new_word)
-        if normalized is None:
-            continue
-        word, s2 = normalized
-        add(word, a, coeff * (s1 * s2) * mirror_sign)
-    return out
-
-
-def build_endomorphism_dgla(
-    structure: ComplexStructure, rank: int, *, check: bool = True
-) -> Dgla:
-    """The DGLA of conjugate-coframe forms valued in r-by-r matrices.
-
-    Degree q has basis ``a{i1}^...^a{iq}*E{uv}`` (form-major, matrix units
-    row-major).  The differential acts on the form part only (the bundle is
-    trivial); the bracket wedges forms and commutes matrix values, so it
-    vanishes identically for rank 1.
-    """
-    _integrability_gate(structure)
-    if rank < 1:
-        raise ValueError("bundle rank must be a positive integer")
-    m = structure.m
-    square = rank * rank
-    words = _anti_words(m)
-    gl_labels = [f"E{u + 1}{v + 1}" for u in range(rank) for v in range(rank)]
-    basis = {
-        q: [_form_label(w, g) for w in ws for g in gl_labels]
-        for q, ws in words.items()
-    }
-    scalar = _scalar_differentials(structure, words)
-
-    differentials: dict[int, ExactMatrix] = {}
-    for q in range(m):
-        matrix = scalar[q]
-        nrows, ncols = len(words[q + 1]) * square, len(words[q]) * square
-        rows = [[ZERO] * ncols for _ in range(nrows)]
-        if matrix is not None:
-            for ri in range(matrix.nrows):
-                for ci in range(len(words[q])):
-                    v = matrix.rows[ri][ci]
-                    if v.is_zero():
-                        continue
-                    for g in range(square):
-                        rows[ri * square + g][ci * square + g] = v
-        differentials[q] = ExactMatrix(rows, ncols=ncols)
-
-    index = {q: {w: i for i, w in enumerate(ws)} for q, ws in words.items()}
-    entries: dict[tuple[BasisKey, BasisKey], dict[int, GaussianRational]] = {}
-    for p in range(m + 1):
-        for q in range(p, m + 1):
-            if p + q > m:
-                continue
-            for ia, word_a in enumerate(words[p]):
-                for jb, word_b in enumerate(words[q]):
-                    normalized = _normalize_word(word_a + word_b)
-                    if normalized is None:
-                        continue
-                    word, sign = normalized
-                    base = index[p + q][word] * square
-                    for ga in range(square):
-                        for gb in range(square):
-                            if q == p and jb * square + gb < ia * square + ga:
-                                continue
-                            u, v = divmod(ga, rank)
-                            x, y = divmod(gb, rank)
-                            entry: dict[int, GaussianRational] = {}
-                            if v == x:
-                                pos = base + u * rank + y
-                                entry[pos] = entry.get(pos, ZERO) + ONE * sign
-                            if y == u:
-                                pos = base + x * rank + v
-                                entry[pos] = entry.get(pos, ZERO) - ONE * sign
-                            entry = {k: c for k, c in entry.items() if not c.is_zero()}
-                            if entry:
-                                key = ((p, ia * square + ga), (q, jb * square + gb))
-                                entries[key] = entry
-    dgla = Dgla.from_bracket_entries(basis, differentials, entries)
-    if check:
-        validate_dgla(dgla)
-    return dgla
+def _accumulate(
+    acc: dict[int, GaussianRational], position: int, coeff: GaussianRational
+) -> None:
+    total = acc.get(position, ZERO) + coeff
+    if total.is_zero():
+        acc.pop(position, None)
+    else:
+        acc[position] = total
 
 
 @dataclass
@@ -311,10 +136,9 @@ class PairDgla:
     """The joint DGLA of a (complex structure, trivial bundle) pair.
 
     In every degree the deformation block occupies the leading positions and
-    the endomorphism block the trailing ones, matching
-    :func:`kuranishi.dgla.direct_sum` of the two blocks; on top of the
-    block-internal brackets the joint structure carries the coupling
-    bracket from deformation directions into the bundle block.
+    the endomorphism block the trailing ones; ``deformation`` and
+    ``endomorphism`` are those blocks read off ``dgla``, whose brackets and
+    differential also carry the coupling between them.
     """
 
     dgla: Dgla
@@ -323,15 +147,10 @@ class PairDgla:
     rank: int
     curvature: dict[tuple[int, int], ExactMatrix] | None = None
 
-    def deformation_dim(self, degree: int) -> int:
-        return self.deformation.dim(degree)
-
     def has_curvature(self) -> bool:
         return bool(self.curvature)
 
-    def coupling_entries(
-        self,
-    ) -> dict[tuple[BasisKey, BasisKey], dict[int, GaussianRational]]:
+    def coupling_entries(self) -> BracketTable:
         """All bracket entries that pair the two blocks."""
         out = {}
         for (key_a, key_b), entry in self.dgla.brackets.items():
@@ -371,21 +190,49 @@ def _normalize_curvature(
     return out
 
 
+def _block(dgla: Dgla, start: Mapping[int, int], stop: Mapping[int, int]) -> Dgla:
+    """The positions ``start[q] <= i < stop[q]`` of every degree as a DGLA.
+
+    The span must be closed under the bracket; components of the
+    differential that leave it are dropped, which is the quotient by an
+    ideal complementing the span.
+    """
+    basis = {q: labels[start[q] : stop[q]] for q, labels in dgla.basis.items()}
+    differentials = {}
+    for q, matrix in dgla.differentials.items():
+        rows = matrix.rows[start[q + 1] : stop[q + 1]]
+        differentials[q] = ExactMatrix(
+            [row[start[q] : stop[q]] for row in rows], ncols=stop[q] - start[q]
+        )
+    brackets: BracketTable = {}
+    for ((i, a), (j, b)), entry in dgla.brackets.items():
+        if start[i] <= a < stop[i] and start[j] <= b < stop[j]:
+            shift = start[i + j]
+            brackets[((i, a - start[i]), (j, b - start[j]))] = {
+                c - shift: v for c, v in entry.items()
+            }
+    return Dgla(basis, differentials, brackets)
+
+
 def build_pair_dgla(
     structure: ComplexStructure,
     rank: int,
     *,
     curvature: Mapping[tuple[int, int], ExactMatrix] | None = None,
 ) -> PairDgla:
-    """Joint DGLA of the deformation and endomorphism blocks with coupling.
+    """The DGLA of conjugate-coframe forms valued in W + gl_r, and its blocks.
 
-    The coupling bracket of a deformation generator with a bundle generator
-    contracts the holomorphic leg of the deformation direction into the
-    exterior differential of the bundle generator's form part:  it is the
-    same slot-replacement contraction that appears inside the deformation
-    bracket, wedged on the left by the deformation form and keeping the
-    matrix value.  The built structure is always validated against the DGLA
-    axioms and the build aborts on failure.
+    Degree q lists ``a{i1}^...^a{iq}*W{a}`` first (form-major, vector
+    minor), then ``a{i1}^...^a{iq}*E{uv}`` (form-major, matrix units
+    row-major).  The differential is the (0,q+1) component of the exterior
+    differential on the form part, plus the holomorphic projection of the
+    conjugate frame's action on W values.  The bracket of ``A*x`` and
+    ``B*y`` is ``(A^B)*[x, y]``, plus ``i_x dB`` wedged on the left by ``A``
+    and valued in ``y`` when ``x`` is a W value, plus the mirror term when
+    ``y`` is one; so a W value contracts its holomorphic leg into the
+    differential of the form it meets in either block.  The built structure
+    is always validated against the DGLA axioms and the build aborts on
+    failure.
 
     ``curvature`` is an expert option: an invariant mixed-type two-form
     valued in the bundle endomorphisms, given as a map from 0-based
@@ -395,92 +242,116 @@ def build_pair_dgla(
     contraction of its holomorphic leg into the curvature, wedged by its
     form part.  The result must still satisfy every DGLA axiom, otherwise
     the build is rejected.
-    """
-    left = build_deformation_dgla(structure, check=False)
-    right = build_endomorphism_dgla(structure, rank, check=False)
-    total = direct_sum(left, right)
 
+    Raises ``ValueError`` when the structure is not integrable, the rank is
+    not positive, or the curvature is malformed or breaks the axioms.
+    """
+    _integrability_gate(structure)
+    if rank < 1:
+        raise ValueError("bundle rank must be a positive integer")
     m = structure.m
     square = rank * rank
-    words = _anti_words(m)
-    index = {q: {w: i for i, w in enumerate(ws)} for q, ws in words.items()}
+    normalized_curvature = _normalize_curvature(curvature, m, rank)
+    value_labels = [f"W{a + 1}" for a in range(m)]
+    value_labels += [f"E{u + 1}{v + 1}" for u in range(rank) for v in range(rank)]
+    words = {q: list(combinations(range(m), q)) for q in range(m + 1)}
+    elements: dict[int, list[Element]] = {
+        q: [(w, a) for w in ws for a in range(m)]
+        + [(w, m + g) for w in ws for g in range(square)]
+        for q, ws in words.items()
+    }
+    position = {q: {e: i for i, e in enumerate(es)} for q, es in elements.items()}
+    basis = {
+        q: [_form_label(w, value_labels[x]) for w, x in es]
+        for q, es in elements.items()
+    }
     lam = _contraction_coefficients(structure)
 
-    entries: dict[tuple[BasisKey, BasisKey], dict[int, GaussianRational]] = {
-        key: dict(value) for key, value in total.brackets.items()
-    }
+    def bracket(element_a: Element, element_b: Element) -> dict[int, GaussianRational]:
+        (word_a, x), (word_b, y) = element_a, element_b
+        out: dict[int, GaussianRational] = {}
+        targets = position[len(word_a) + len(word_b)]
+        normalized = _normalize_word(word_a + word_b)
+        if normalized is not None:
+            word, sign = normalized
+            for value, coeff in _value_bracket(structure, rank, x, y):
+                _accumulate(out, targets[(word, value)], coeff * sign)
+        mirror_sign = -1 if (len(word_a) * len(word_b)) % 2 == 0 else 1
+        for acting, word_acting, word_other, value, side_sign in (
+            (x, word_a, word_b, y, 1),
+            (y, word_b, word_a, x, mirror_sign),
+        ):
+            if acting >= m:
+                continue
+            for new_word, s1, coeff in _replace_slots(word_other, lam[acting]):
+                normalized = _normalize_word(word_acting + new_word)
+                if normalized is None:
+                    continue
+                word, s2 = normalized
+                _accumulate(out, targets[(word, value)], coeff * (s1 * s2 * side_sign))
+        return out
+
+    entries: BracketTable = {}
     for p in range(m + 1):
-        for ia, word_a in enumerate(words[p]):
-            for a in range(m):
-                left_key = (p, ia * m + a)
-                for q in range(m + 1 - p):
-                    offset_source = left.dim(q)
-                    offset_target = left.dim(p + q)
-                    for jb, word_b in enumerate(words[q]):
-                        contracted: dict[tuple[int, ...], GaussianRational] = {}
-                        for new_word, s1, coeff in _replace_slots(word_b, lam[a]):
-                            normalized = _normalize_word(word_a + new_word)
-                            if normalized is None:
-                                continue
-                            word, s2 = normalized
-                            total_coeff = contracted.get(word, ZERO) + coeff * (s1 * s2)
-                            if total_coeff.is_zero():
-                                contracted.pop(word, None)
-                            else:
-                                contracted[word] = total_coeff
-                        if not contracted:
-                            continue
-                        for g in range(square):
-                            right_key = (q, offset_source + jb * square + g)
-                            entry = {
-                                offset_target + index[p + q][word] * square + g: c
-                                for word, c in contracted.items()
-                            }
-                            entries[(left_key, right_key)] = entry
-    normalized_curvature = _normalize_curvature(curvature, m, rank)
-    differentials = dict(total.differentials)
-    if normalized_curvature:
-        for p in range(m):
-            matrix = total.differential_matrix(p)
-            rows = [list(row) for row in matrix.rows]
-            changed = False
-            for ia, word_a in enumerate(words[p]):
-                for a in range(m):
-                    column = ia * m + a
-                    for (hol, anti), value in normalized_curvature.items():
-                        if hol != a:
-                            continue
-                        normalized = _normalize_word(word_a + (anti,))
-                        if normalized is None:
-                            continue
-                        word, sign = normalized
-                        base = left.dim(p + 1) + index[p + 1][word] * square
-                        scale = GaussianRational(-sign)
-                        for u in range(rank):
-                            for v in range(rank):
-                                coeff = value[u, v]
-                                if coeff.is_zero():
-                                    continue
-                                row = base + u * rank + v
-                                rows[row][column] = (
-                                    rows[row][column] + coeff * scale
-                                )
-                                changed = True
-            if changed:
-                differentials[p] = ExactMatrix(rows, ncols=matrix.ncols)
-    joint = Dgla.from_bracket_entries(total.basis, differentials, entries)
+        for q in range(p, m + 1 - p):
+            for ia, element_a in enumerate(elements[p]):
+                for jb, element_b in enumerate(elements[q]):
+                    if q == p and jb < ia:
+                        continue
+                    entry = bracket(element_a, element_b)
+                    if entry:
+                        entries[((p, ia), (q, jb))] = entry
+
+    differentials: dict[int, ExactMatrix] = {}
+    for q in range(m):
+        form_d = ce_differential(structure, 0, q)[(0, q + 1)]
+        form_image = {
+            word: [
+                (words[q + 1][ri], v)
+                for ri, v in enumerate(form_d.column(ci))
+                if not v.is_zero()
+            ]
+            for ci, word in enumerate(words[q])
+        }
+        targets = position[q + 1]
+        rows = [[ZERO] * len(elements[q]) for _ in elements[q + 1]]
+        for col, (word, x) in enumerate(elements[q]):
+            image: dict[int, GaussianRational] = {}
+            for new_word, v in form_image[word]:
+                _accumulate(image, targets[(new_word, x)], v)
+            if x < m:
+                for b in range(m):
+                    if b in word:
+                        continue
+                    new_word, sign = _normalize_word((b,) + word)
+                    action = structure.frame_bracket(m + b, x)[:m]
+                    for c, v in enumerate(action):
+                        if not v.is_zero():
+                            _accumulate(image, targets[(new_word, c)], v * sign)
+                for (hol, anti), matrix in normalized_curvature.items():
+                    normalized = _normalize_word(word + (anti,))
+                    if hol != x or normalized is None:
+                        continue
+                    new_word, sign = normalized
+                    for g in range(square):
+                        coeff = matrix[divmod(g, rank)] * -sign
+                        _accumulate(image, targets[(new_word, m + g)], coeff)
+            for row, v in image.items():
+                rows[row][col] = v
+        differentials[q] = ExactMatrix(rows, ncols=len(elements[q]))
+
+    joint = Dgla.from_bracket_entries(basis, differentials, entries)
     try:
         validate_dgla(joint)
     except DglaAxiomError as exc:
         if normalized_curvature:
-            raise ValueError(
-                f"curvature breaks the DGLA axioms: {exc}"
-            ) from exc
+            raise ValueError(f"curvature breaks the DGLA axioms: {exc}") from exc
         raise
+    split = {q: m * len(ws) for q, ws in words.items()}
     return PairDgla(
         dgla=joint,
-        deformation=left,
-        endomorphism=right,
+        deformation=_block(joint, dict.fromkeys(words, 0), split),
+        endomorphism=_block(joint, split, {q: joint.dim(q) for q in words}),
         rank=rank,
         curvature=normalized_curvature or None,
     )

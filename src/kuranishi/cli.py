@@ -202,11 +202,16 @@ def _resolve_config(args: argparse.Namespace):
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(
+            f"--output: cannot write {args.output}: {exc.strerror}"
+        ) from exc
 
 
 # -- subcommands -------------------------------------------------------------

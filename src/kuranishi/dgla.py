@@ -8,7 +8,6 @@ container this module provides
 * axiom validation (``d**2 = 0``, graded antisymmetry, the graded Leibniz
   rule, and the graded Jacobi identity), reporting human-readable failures;
 * cohomology dimensions;
-* direct sums;
 * the canonical splitting of each graded piece into harmonic, exact, and
   coexact subspaces, together with the harmonic projection and the
   contracting homotopy that the deformation engine uses to solve the
@@ -45,7 +44,6 @@ __all__ = [
     "HodgeDegree",
     "cohomology_dimensions",
     "dgla_axiom_failures",
-    "direct_sum",
     "hodge_decomposition",
     "validate_dgla",
 ]
@@ -161,9 +159,6 @@ class Dgla:
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
-
-    def total_dimension(self) -> int:
-        return sum(len(labels) for labels in self.basis.values())
 
     def label(self, degree: int, position: int) -> str:
         return self.basis[degree][position]
@@ -354,46 +349,13 @@ def validate_dgla(dgla: Dgla) -> None:
         raise DglaAxiomError(failures[0])
 
 
-# -- cohomology and direct sums ---------------------------------------------
+# -- cohomology -------------------------------------------------------------
 
 
 def cohomology_dimensions(dgla: Dgla) -> dict[int, int]:
     """Dimension of ``ker d / im d`` in every nonzero degree."""
     ranks = {i: len(rref(dgla.differential_matrix(i))[1]) for i in dgla.degrees()}
     return {i: dgla.dim(i) - ranks[i] - ranks.get(i - 1, 0) for i in dgla.degrees()}
-
-
-def _block_diagonal(top_left: ExactMatrix, bottom_right: ExactMatrix) -> ExactMatrix:
-    nrows = top_left.nrows + bottom_right.nrows
-    ncols = top_left.ncols + bottom_right.ncols
-    rows = [[ZERO] * ncols for _ in range(nrows)]
-    for r in range(top_left.nrows):
-        rows[r][: top_left.ncols] = list(top_left.rows[r])
-    for r in range(bottom_right.nrows):
-        rows[top_left.nrows + r][top_left.ncols :] = list(bottom_right.rows[r])
-    return ExactMatrix(rows, ncols=ncols)
-
-
-def direct_sum(left: Dgla, right: Dgla) -> Dgla:
-    """Direct sum, with the left block's basis listed first in each degree.
-
-    The two summands do not interact: all cross brackets vanish.
-    """
-    degrees = sorted(set(left.degrees()) | set(right.degrees()))
-    basis = {
-        i: list(left.basis.get(i, [])) + list(right.basis.get(i, [])) for i in degrees
-    }
-    differentials = {
-        i: _block_diagonal(left.differential_matrix(i), right.differential_matrix(i))
-        for i in degrees
-    }
-    brackets: BracketTable = {}
-    for (key_a, key_b), entry in left.brackets.items():
-        brackets[(key_a, key_b)] = dict(entry)
-    for ((i, a), (j, b)), entry in right.brackets.items():
-        shifted = {c + left.dim(i + j): v for c, v in entry.items()}
-        brackets[((i, a + left.dim(i)), (j, b + left.dim(j)))] = shifted
-    return Dgla(basis, differentials, brackets)
 
 
 # -- harmonic / exact / coexact splitting ------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .poly import MultiPoly, PolyRing, grevlex_key
+from .poly import MultiPoly, grevlex_key
 
 __all__ = [
     "normal_form",
@@ -27,7 +27,6 @@ __all__ = [
     "reduced_groebner_basis",
     "ideal_membership",
     "ideal_equal",
-    "radical_membership",
     "minimalize_generators",
 ]
 
@@ -209,25 +208,6 @@ def ideal_membership(p: MultiPoly, generators: Sequence[MultiPoly]) -> bool:
 def ideal_equal(a: Sequence[MultiPoly], b: Sequence[MultiPoly]) -> bool:
     """True iff two generator lists present the same ideal."""
     return reduced_groebner_basis(a) == reduced_groebner_basis(b)
-
-
-def radical_membership(p: MultiPoly, generators: Sequence[MultiPoly]) -> bool:
-    """True iff ``p`` vanishes on the zero set of the ideal (Rabinowitsch).
-
-    Tests whether 1 lies in the ideal extended by ``1 - z*p`` in a ring with
-    one fresh variable ``z``.
-    """
-    if p.is_zero():
-        return True
-    ring = p.ring
-    fresh = "z_rad"
-    while fresh in ring.variables:
-        fresh += "_"
-    extended = PolyRing(ring.variables + (fresh,))
-    ext_gens = [g.embed(extended) for g in generators]
-    trick = extended.one() - extended.var(fresh) * p.embed(extended)
-    basis = reduced_groebner_basis(list(ext_gens) + [trick])
-    return basis == [extended.one()]
 
 
 def minimalize_generators(generators: Sequence[MultiPoly]) -> list[MultiPoly]:

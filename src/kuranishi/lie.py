@@ -22,17 +22,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import ExactMatrix, inverse, kernel_basis, rref
-from .scalars import GaussianRational, ONE, ZERO, format_rational, parse_rational
+from .scalars import GaussianRational, ONE, ZERO, parse_rational
 
 __all__ = [
     "LieAlgebra",
     "ComplexStructure",
     "JacobiError",
     "parse_salamon",
-    "serialize_salamon",
     "form_basis",
     "ce_differential",
-    "real_ce_differential",
 ]
 
 Vector = tuple[GaussianRational, ...]
@@ -268,43 +266,6 @@ def _split_terms(slot: str, full: str) -> list[tuple[int, str]]:
     return out
 
 
-def serialize_salamon(algebra: LieAlgebra) -> str:
-    """Canonical compact description (inverse of :func:`parse_salamon`).
-
-    Raises if any constant is non-real or any bracket does not point to a
-    strictly higher basis index (the triangular shape the notation assumes).
-    """
-    slots = []
-    for k in range(algebra.dim):
-        terms = []
-        for (i, j) in sorted(algebra.brackets):
-            coeff = algebra.brackets[(i, j)].get(k)
-            if coeff is None:
-                continue
-            if not coeff.is_real():
-                raise ValueError("compact description needs real rational constants")
-            if j >= k:
-                raise ValueError(
-                    f"bracket [e_{i + 1}, e_{j + 1}] -> e_{k + 1} violates the "
-                    f"triangular shape of the notation"
-                )
-            value = -coeff.re  # d e^k carries -c^k_{ij}
-            token = f"{i + 1}{j + 1}"
-            if value == 1:
-                terms.append(f"+{token}")
-            elif value == -1:
-                terms.append(f"-{token}")
-            else:
-                text = format_rational(abs(value))
-                terms.append(f"{'+' if value > 0 else '-'}{text}*{token}")
-        if terms:
-            joined = "".join(terms)
-            slots.append(joined[1:] if joined.startswith("+") else joined)
-        else:
-            slots.append("0")
-    return "(" + ",".join(slots) + ")"
-
-
 # -- complex structures ------------------------------------------------------------
 
 
@@ -520,37 +481,6 @@ def _coframe_differentials(structure: ComplexStructure) -> list[list[tuple[int, 
             if not coeff.is_zero():
                 out[gamma].append((alpha, beta, -coeff))
     return out
-
-
-def real_ce_differential(algebra: LieAlgebra, k: int) -> ExactMatrix:
-    """The exterior differential on degree-k forms of the plain dual complex.
-
-    Basis words are ascending index tuples from ``itertools.combinations``;
-    the matrix maps degree-k coordinates to degree-(k+1) coordinates.
-    """
-    from itertools import combinations
-
-    n = algebra.dim
-    source = list(combinations(range(n), k))
-    target = list(combinations(range(n), k + 1))
-    index = {w: i for i, w in enumerate(target)}
-    rows = [[ZERO] * len(source) for _ in range(len(target))]
-    diffs: list[list[tuple[int, int, GaussianRational]]] = [[] for _ in range(n)]
-    for (i, j), coeffs in algebra.brackets.items():
-        for gamma, coeff in coeffs.items():
-            diffs[gamma].append((i, j, -coeff))
-    for col, word in enumerate(source):
-        for slot, leg in enumerate(word):
-            slot_sign = -1 if slot % 2 else 1
-            rest = word[:slot] + word[slot + 1 :]
-            for alpha, beta, coeff in diffs[leg]:
-                normalized = _normalize_word((alpha, beta) + rest)
-                if normalized is None:
-                    continue
-                new_word, perm_sign = normalized
-                row = index[new_word]
-                rows[row][col] = rows[row][col] + coeff * (slot_sign * perm_sign)
-    return ExactMatrix(rows, ncols=len(source))
 
 
 def ce_differential(

@@ -93,9 +93,6 @@ class ExactMatrix:
 
     # -- basic ops --------------------------------------------------------
 
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix([list(r) for r in self.rows], ncols=self.ncols)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -178,12 +175,6 @@ class ExactMatrix:
                 acc = acc + x.scale(coeff)
             out.append(acc)
         return tuple(out)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.nrows != other.nrows:

@@ -17,7 +17,7 @@ germ analysis is built on:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -251,45 +251,6 @@ class MultiPoly:
             n >>= 1
         return result
 
-    # -- evaluation / substitution -------------------------------------------
-
-    def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
-        """Evaluate at a full assignment (indexed by ring variable order)."""
-        if len(point) != self.ring.nvars:
-            raise ValueError("point length mismatch")
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for x, e in zip(point, exps):
-                for _ in range(e):
-                    value = value * x
-            total = total + value
-        return total
-
-    def substitute(self, assignment: Mapping[str, object]) -> "MultiPoly":
-        """Substitute scalars for some variables; the rest stay symbolic."""
-        values = {
-            self.ring.index(name): GaussianRational.coerce(v)  # type: ignore[arg-type]
-            for name, v in assignment.items()
-        }
-        acc: dict[Monomial, GaussianRational] = {}
-        for exps, coeff in self.terms.items():
-            c = coeff
-            new = list(exps)
-            for idx, val in values.items():
-                for _ in range(exps[idx]):
-                    c = c * val
-                new[idx] = 0
-            if c.is_zero():
-                continue
-            key = tuple(new)
-            total = acc.get(key, ZERO) + c
-            if total.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = total
-        return MultiPoly(self.ring, acc)
-
     def embed(self, target: PolyRing) -> "MultiPoly":
         """Reinterpret in a larger ring, matching variables by name."""
         mapping = [target.index(name) for name in self.ring.variables]
@@ -302,14 +263,6 @@ class MultiPoly:
         return MultiPoly(target, acc)
 
     # -- structure of low-degree parts ----------------------------------------
-
-    def linear_coefficients(self) -> list[GaussianRational]:
-        """Coefficients of the degree-1 part, indexed by ring variables."""
-        out = [ZERO] * self.ring.nvars
-        for exps, coeff in self.terms.items():
-            if sum(exps) == 1:
-                out[exps.index(1)] = coeff
-        return out
 
     def quadratic_symmetric_matrix(self) -> list[list[GaussianRational]]:
         """Symmetric coefficient matrix A of the degree-2 part (x^T A x)."""

@@ -1,0 +1,46 @@
+"""What the benchmark in ``perfbench/`` needs from the program.
+
+The benchmark's tracer wraps functions it looks up by name, and its worker
+probes the axiom gate with a hand-broken DGLA.  These tests read those
+files without changing them, so a rename or deletion in ``kuranishi`` that
+would break a traced run or the probe fails here first.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from kuranishi.builders import build_pair_dgla
+
+from test_lie import example1_structure
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACED = _load("tracer").TRACED
+
+
+@pytest.mark.parametrize(
+    ("module", "name"), TRACED, ids=[f"{m}.{n}" for m, n in TRACED]
+)
+def test_traced_names_resolve_to_callables(module: str, name: str) -> None:
+    target = getattr(importlib.import_module(f"kuranishi.{module}"), name, None)
+    assert callable(target), f"perfbench traces kuranishi.{module}.{name}"
+
+
+def test_gate_probe_rejects_broken_antisymmetry() -> None:
+    worker = _load("worker")
+    pair = build_pair_dgla(example1_structure(), 1)
+    assert worker.gate_rejects_broken_antisymmetry(pair.dgla)

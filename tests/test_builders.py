@@ -6,12 +6,7 @@ import random
 
 import pytest
 
-from kuranishi.builders import (
-    PairDgla,
-    build_deformation_dgla,
-    build_endomorphism_dgla,
-    build_pair_dgla,
-)
+from kuranishi.builders import build_pair_dgla
 from kuranishi.dgla import cohomology_dimensions, dgla_axiom_failures, hodge_decomposition
 from kuranishi.lie import ComplexStructure, LieAlgebra
 from kuranishi.linalg import ExactMatrix
@@ -54,51 +49,40 @@ def label_position(dgla, degree: int, label: str) -> int:
 
 def test_non_integrable_structure_rejected() -> None:
     with pytest.raises(ValueError, match=r"not integrable.*\[W1, W2\]"):
-        build_deformation_dgla(example2_literal_structure())
-    with pytest.raises(ValueError, match="not integrable"):
         build_pair_dgla(example2_literal_structure(), 1)
 
 
 def test_rank_must_be_positive() -> None:
     with pytest.raises(ValueError, match="rank"):
-        build_endomorphism_dgla(torus_structure(), 0)
+        build_pair_dgla(torus_structure(), 0)
 
 
 def test_deformation_dimensions_and_cohomology() -> None:
-    left = build_deformation_dgla(example1_structure())
+    left = build_pair_dgla(example1_structure(), 1).deformation
     assert {q: left.dim(q) for q in left.degrees()} == {0: 3, 1: 9, 2: 9, 3: 3}
     assert cohomology_dimensions(left) == {0: 1, 1: 4, 2: 5, 3: 2}
-    assert cohomology_dimensions(build_deformation_dgla(example2_structure())) == {
-        0: 2,
-        1: 6,
-        2: 6,
-        3: 2,
-    }
-    assert cohomology_dimensions(build_deformation_dgla(iwasawa_structure())) == {
-        0: 3,
-        1: 6,
-        2: 6,
-        3: 3,
-    }
+    assert cohomology_dimensions(
+        build_pair_dgla(example2_structure(), 1).deformation
+    ) == {0: 2, 1: 6, 2: 6, 3: 2}
+    assert cohomology_dimensions(
+        build_pair_dgla(iwasawa_structure(), 1).deformation
+    ) == {0: 3, 1: 6, 2: 6, 3: 3}
 
 
 def test_endomorphism_cohomology() -> None:
     assert cohomology_dimensions(
-        build_endomorphism_dgla(example1_structure(), 1)
+        build_pair_dgla(example1_structure(), 1).endomorphism
     ) == {0: 1, 1: 3, 2: 3, 3: 1}
     assert cohomology_dimensions(
-        build_endomorphism_dgla(iwasawa_structure(), 1)
+        build_pair_dgla(iwasawa_structure(), 1).endomorphism
     ) == {0: 1, 1: 2, 2: 2, 3: 1}
-    assert cohomology_dimensions(build_endomorphism_dgla(torus_structure(), 2)) == {
-        0: 4,
-        1: 12,
-        2: 12,
-        3: 4,
-    }
+    assert cohomology_dimensions(
+        build_pair_dgla(torus_structure(), 2).endomorphism
+    ) == {0: 4, 1: 12, 2: 12, 3: 4}
 
 
 def test_deformation_differential_frozen_columns() -> None:
-    left = build_deformation_dgla(example2_structure())
+    left = build_pair_dgla(example2_structure(), 1).deformation
     d1 = left.differential_matrix(1)
     source = label_position(left, 1, "a2*W2")
     target = label_position(left, 2, "a1^a2*W3")
@@ -116,7 +100,7 @@ def test_deformation_differential_frozen_columns() -> None:
 
 
 def test_deformation_bracket_frozen_entries() -> None:
-    left = build_deformation_dgla(example2_structure())
+    left = build_pair_dgla(example2_structure(), 1).deformation
     key_a = (1, label_position(left, 1, "a1*W1"))
     key_b = (1, label_position(left, 1, "a3*W1"))
     entry = left.bracket_entry(key_a, key_b)
@@ -128,7 +112,7 @@ def test_deformation_bracket_frozen_entries() -> None:
 
 
 def test_parallelizable_bracket_is_holomorphic_projection() -> None:
-    left = build_deformation_dgla(iwasawa_structure())
+    left = build_pair_dgla(iwasawa_structure(), 1).deformation
     key_a = (1, label_position(left, 1, "a1*W1"))
     key_b = (1, label_position(left, 1, "a2*W2"))
     entry = left.bracket_entry(key_a, key_b)
@@ -136,7 +120,7 @@ def test_parallelizable_bracket_is_holomorphic_projection() -> None:
 
 
 def test_endomorphism_bracket_is_matrix_commutator() -> None:
-    right = build_endomorphism_dgla(torus_structure(), 2)
+    right = build_pair_dgla(torus_structure(), 2).endomorphism
     key_a = (0, label_position(right, 0, "E12"))
     key_b = (0, label_position(right, 0, "E21"))
     entry = right.bracket_entry(key_a, key_b)
@@ -144,12 +128,12 @@ def test_endomorphism_bracket_is_matrix_commutator() -> None:
         label_position(right, 0, "E11"): ONE,
         label_position(right, 0, "E22"): G(-1),
     }
-    rank_one = build_endomorphism_dgla(torus_structure(), 1)
+    rank_one = build_pair_dgla(torus_structure(), 1).endomorphism
     assert rank_one.brackets == {}
 
 
 def test_endomorphism_differential_ignores_matrix_slot() -> None:
-    right = build_endomorphism_dgla(iwasawa_structure(), 2)
+    right = build_pair_dgla(iwasawa_structure(), 2).endomorphism
     d1 = right.differential_matrix(1)
     for unit in ("E11", "E12", "E21", "E22"):
         source = label_position(right, 1, f"a3*{unit}")
@@ -222,7 +206,7 @@ def test_builders_pass_axioms_after_random_frame_change() -> None:
         except ValueError:
             continue  # singular draw
         draws += 1
-        left = build_deformation_dgla(changed)
+        left = build_pair_dgla(changed, 1).deformation
         assert dgla_axiom_failures(left) == []
         assert cohomology_dimensions(left) == {0: 1, 1: 4, 2: 5, 3: 2}
         if not checked_pair:
@@ -232,7 +216,7 @@ def test_builders_pass_axioms_after_random_frame_change() -> None:
 
 
 def test_hodge_identities_on_built_dgla() -> None:
-    left = build_deformation_dgla(example2_structure())
+    left = build_pair_dgla(example2_structure(), 1).deformation
     hodge = hodge_decomposition(left)
     for i in left.degrees():
         n = left.dim(i)

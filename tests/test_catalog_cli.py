@@ -239,6 +239,17 @@ def test_cli_validate_curvature_that_breaks_axioms_exits_two(tmp_path, capsys):
     assert "curvature breaks the DGLA axioms" in out
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_cli_unwritable_output_is_bad_input(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "report.json"
+    assert main([command, "--catalog", "torus", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --output: cannot write {target}: No such file or directory"
+    ]
+
+
 def test_cli_analyze_json_is_byte_identical_across_runs(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

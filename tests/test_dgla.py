@@ -9,7 +9,6 @@ from kuranishi.dgla import (
     DglaAxiomError,
     cohomology_dimensions,
     dgla_axiom_failures,
-    direct_sum,
     hodge_decomposition,
     validate_dgla,
 )
@@ -189,23 +188,6 @@ def test_harmonic_coordinates_invert_representatives() -> None:
                 ONE if k == idx else ZERO for k in range(len(record.harmonic))
             )
             assert coords == expected
-
-
-def test_direct_sum_structure() -> None:
-    left, right = chain_dgla(), weight_dgla()
-    total = direct_sum(left, right)
-    assert dgla_axiom_failures(total) == []
-    for i in total.degrees():
-        assert total.dim(i) == left.dim(i) + right.dim(i)
-    hl = cohomology_dimensions(left)
-    hr = cohomology_dimensions(right)
-    ht = cohomology_dimensions(total)
-    for i in ht:
-        assert ht[i] == hl.get(i, 0) + hr.get(i, 0)
-    # no interaction between the two blocks
-    for (key_a, key_b) in total.brackets:
-        sides = {key_a[1] < left.dim(key_a[0]), key_b[1] < left.dim(key_b[0])}
-        assert len(sides) == 1
 
 
 def test_bracket_vectors_with_polynomial_coordinates() -> None:

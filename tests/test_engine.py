@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuranishi.analysis import analyze_structure, describe_vector
-from kuranishi.builders import build_deformation_dgla
+from kuranishi.builders import build_pair_dgla
 from kuranishi.dgla import Dgla, validate_dgla
 from kuranishi.engine import (
     analyze_obstructions,
@@ -490,6 +490,6 @@ def test_describe_vector_formatting():
 
 
 def test_problem_rejects_mismatched_parameter_names():
-    dgla = build_deformation_dgla(example2_structure())
+    dgla = build_pair_dgla(example2_structure(), 1).deformation
     with pytest.raises(ValueError, match="parameter names"):
         kuranishi_problem(dgla, ["only", "two"])

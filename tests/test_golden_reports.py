@@ -10,14 +10,19 @@ same bytes for non-unit Gaussian rationals: the torus and the Iwasawa
 structure with the rows of their holomorphic coframe mixed by one fixed
 invertible matrix, which keeps the complex structure and makes every frame
 coefficient dense.
+
+The ``kuranishi validate --format json`` reports are pinned the same way:
+they come straight from the builder, its gates and its error messages.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
+from kuranishi.cli import main
 from kuranishi.config import load_config
 from kuranishi.report import build_report, render_json, run_analysis
 from kuranishi.scalars import GaussianRational
@@ -101,3 +106,44 @@ def test_mixed_coframe_report_bytes_are_pinned(name: str) -> None:
     )
     text = render_json(build_report(config, run_analysis(config)))
     assert hashlib.sha256(text.encode()).hexdigest() == DENSE_GOLDEN_SHA256[name]
+
+
+# SHA-256 of what ``kuranishi validate ARGS --format json`` prints.  A config
+# file argument is written out first; curvature rows are 1-based
+# (holomorphic, antiholomorphic, row, column, value).
+VALIDATE_GOLDEN_SHA256 = {
+    "example1": "b9d0cb8bdc2dfeb1b7cee14600f50eb43f7471c1fe5c3acba81645e4fa6e8afc",
+    "example2": "d473e6c19aee744e4447e5a6b911e88846f0e09bd4a4e9bd11aec8d84c510cda",
+    "iwasawa": "728aa404342e33aa14f2aa9d2a837d81488b8f81a50938b32e646f7afdc1aa7a",
+    "torus": "715062cb56c4b0126b0285a43130e96220ff4aab23b75a9630794828e622f761",
+    "n3": "3f1ab7e36c99751c62a81fd65f073bbd519d939733c3d56574e02de78bd554e3",
+    "n8": "174971b76fc45137232282162d07381358d02e969fe4a86fa9341583d98202c4",
+    "n9": "dfb4ecfadf7e9d3536a34ff699a9ddcb592f3770bf860e02b03c2e20944a7b70",
+    "example2-literal": "44eacb6cb519578975369bc5f08aa70ce706da91385bbc5257305d68bae87d3b",
+    "torus-curved": "729baf4a087e015fa81dd53a4aa967c3d099c69e3df6b61d4f38e645882e1a36",
+    "example1-curved": "bf885ddaabd0dbfa8f9b0f5be4a89b4767f389fa84cdb633ad6f5ea9cc0c9c7a",
+}
+
+_VALIDATE_CONFIGS = {
+    "torus-curved": {"catalog": "torus", "curvature": [[1, 2, 1, 1, "1/2"]]},
+    # breaks the Leibniz rule; the message carries the gate's first failure
+    "example1-curved": {"catalog": "example1", "curvature": [[1, 2, 1, 1, 1]]},
+}
+
+
+def _validate_args(name: str, tmp_path) -> list[str]:
+    if name in _VALIDATE_CONFIGS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_VALIDATE_CONFIGS[name]))
+        return [str(path)]
+    if name == "example2-literal":
+        return ["--catalog", "example2", "--example2-reading", "literal"]
+    return ["--catalog", name]
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_GOLDEN_SHA256))
+def test_validate_report_bytes_are_pinned(name: str, tmp_path, capsys) -> None:
+    code = main(["validate", *_validate_args(name, tmp_path), "--format", "json"])
+    text = capsys.readouterr().out
+    assert code == (0 if json.loads(text)["valid"] else 2)
+    assert hashlib.sha256(text.encode()).hexdigest() == VALIDATE_GOLDEN_SHA256[name]

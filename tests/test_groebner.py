@@ -14,7 +14,6 @@ from kuranishi.groebner import (
     ideal_membership,
     minimalize_generators,
     normal_form,
-    radical_membership,
     reduced_groebner_basis,
     spoly,
 )
@@ -143,14 +142,6 @@ def test_minimalize_generators_rejects_non_homogeneous_input() -> None:
         minimalize_generators([X * X, Y + Z * Z])
     with pytest.raises(ValueError, match="homogeneous"):
         minimalize_generators([X + R.one()])
-
-
-def test_radical_membership() -> None:
-    assert radical_membership(X, [X * X])
-    assert radical_membership(X * Y, [X * X * Y**3])
-    assert not radical_membership(X, [Y])
-    assert radical_membership(X + Y, [(X + Y) ** 2])
-    assert radical_membership(R.zero(), [])
 
 
 # -- differential test against the frozen oracle --------------------------------------

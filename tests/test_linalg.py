@@ -145,7 +145,6 @@ def test_matmul_and_stack() -> None:
     b = ExactMatrix([[0, 1], [1, 0]])
     assert (a @ b).rows == ExactMatrix([[2, 1], [4, 3]]).rows
     assert a.hstack(b).ncols == 4
-    assert a.transpose().rows == ExactMatrix([[1, 3], [2, 4]]).rows
     assert a.column(1) == (GaussianRational(2), GaussianRational(4))
 
 

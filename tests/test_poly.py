@@ -103,22 +103,6 @@ def test_homogeneous_components_rebuild(p: MultiPoly) -> None:
     assert total == p
 
 
-@given(polys(), st.lists(coeffs, min_size=3, max_size=3))
-@settings(max_examples=50)
-def test_evaluation_is_ring_homomorphism(p: MultiPoly, point: list[GaussianRational]) -> None:
-    q = p * p + p.scale(3)
-    direct = q.evaluate(point)
-    via = p.evaluate(point)
-    assert direct == via * via + via * 3
-
-
-def test_substitute_partial() -> None:
-    x, y = R3.var("x"), R3.var("y")
-    p = x * y + y.scale(2) + R3.one()
-    assert p.substitute({"x": 0}) == y.scale(2) + R3.one()
-    assert p.substitute({"x": 1, "y": "1/2"}) == R3.constant("5/2")
-
-
 def test_embed_by_name() -> None:
     small = PolyRing(["t1", "t2"])
     big = PolyRing(["t1", "t2", "s1"])
