@@ -25,6 +25,7 @@ from .engine import (
     assess_splitting,
     germ_invariants,
     kuranishi_problem,
+    product_of_germs,
 )
 from .groebner import normal_form, reduced_groebner_basis
 from .lie import ComplexStructure, _normalize_word
@@ -293,22 +294,12 @@ def analyze_structure(
             ideal_comparison="unknown",
         )
     else:
-        joint_ring = j_problem.ring
-        product_generators = [
-            g.embed(joint_ring) for g in deformation.series.generators
-        ] + [g.embed(joint_ring) for g in endomorphism.series.generators]
-        product_exact = deformation.series.exact and endomorphism.series.exact
-        product_germ = germ_invariants(
-            joint_ring, product_generators, exact=product_exact
+        product_germ = product_of_germs(
+            j_problem.ring, deformation.germ, endomorphism.germ
         )
         coupling_zero = pair.coupling_is_zero()
         splitting = assess_splitting(
-            joint.series,
-            joint.germ,
-            deformation.series,
-            endomorphism.series,
-            product_germ,
-            coupling_is_zero=coupling_zero,
+            joint.germ, product_germ, coupling_is_zero=coupling_zero
         )
     classification = structure.classify()
     abelian = abelian_preservation_check(

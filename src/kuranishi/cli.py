@@ -46,9 +46,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -316,3 +313,7 @@ def _jsonable(value: object) -> object:
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     return value
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -304,7 +304,7 @@ def _from_catalog(
     if entry.name != "example2":
         reading = None
     structure = build_catalog_structure(entry.name, reading)
-    return entry.name, reading if entry.name == "example2" else None, structure
+    return entry.name, reading, structure
 
 
 def _parse_algebra(spec: object) -> LieAlgebra:

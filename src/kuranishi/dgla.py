@@ -182,16 +182,6 @@ class Dgla:
 
     # -- element operations ----------------------------------------------
 
-    def apply_differential(
-        self, degree: int, vec: Sequence[object], *, zero: object = ZERO
-    ) -> list[object]:
-        """Apply ``d`` to a degree-``degree`` coordinate vector.
-
-        Works for scalar coordinates and for polynomial-valued coordinates
-        (pass the polynomial ring's zero as ``zero``).
-        """
-        return list(self.differential_matrix(degree).apply(vec, zero))
-
     def bracket_vectors(
         self,
         degree_a: int,
@@ -203,8 +193,8 @@ class Dgla:
     ) -> list[object]:
         """Bracket of two coordinate vectors, landing in ``degree_a + degree_b``.
 
-        As with :meth:`apply_differential` the coordinates may be scalars or
-        ring elements supporting ``+``, ``*`` and ``scale``.
+        The coordinates may be scalars or ring elements supporting ``+``,
+        ``*`` and ``scale`` (pass the ring's zero as ``zero``).
         """
         if len(u) != self.dim(degree_a) or len(v) != self.dim(degree_b):
             raise ValueError("vector length mismatch")

@@ -16,8 +16,9 @@ Given a DGLA built by :mod:`kuranishi.builders`, this module
 * decides smoothness of the resulting cone germ through a decision tree
   whose workhorse is a budgeted decomposition of the variety into linear
   leaves;
-* compares a joint germ with the product of its block germs and issues a
-  splitting verdict.
+* builds the product of two block germs from their reduced bases, with no
+  Groebner run, and issues a splitting verdict by comparing the joint germ's
+  reduced basis with the product germ's.
 
 Everything is exact over the Gaussian rationals; no step depends on
 floating point or on randomized choices.
@@ -30,16 +31,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .dgla import Dgla, HodgeDegree, hodge_decomposition
-from .groebner import (
-    ideal_equal,
-    minimalize_generators,
-    normal_form,
-    reduced_groebner_basis,
-)
+from .groebner import minimalize_generators, normal_form, reduced_groebner_basis
 from .linalg import EchelonBasis, ExactMatrix, Vector, rref
 from .poly import (
     MultiPoly,
     PolyRing,
+    grevlex_key,
     poly_matrix_det,
     pure_linear_power,
     quadric_split,
@@ -56,9 +53,13 @@ __all__ = [
     "expand_series",
     "germ_invariants",
     "kuranishi_problem",
+    "product_of_germs",
 ]
 
 MINUS_HALF = GaussianRational(Fraction(-1, 2))
+
+#: node budget of the leaf decomposition in the germ decision tree
+LEAF_BUDGET = 200
 
 
 # -- problem setup ------------------------------------------------------------
@@ -467,6 +468,9 @@ class GermInvariants:
 
     embedding_dimension: int
     generators: list[MultiPoly]
+    #: reduced Groebner basis of the ideal; ``[]`` for the zero ideal and
+    #: None for an uncertified truncation.  Not part of any report.
+    basis: list[MultiPoly] | None
     generator_degrees: list[int]
     smooth: bool | None
     dimension: int | None
@@ -558,82 +562,99 @@ def germ_invariants(
     generators: Sequence[MultiPoly],
     *,
     exact: bool = True,
-    budget: int = 200,
+    budget: int = LEAF_BUDGET,
 ) -> GermInvariants:
     """Set-level smoothness analysis of the cone germ of a homogeneous ideal.
 
-    The decision tree: a zero ideal is smooth; an all-linear reduced basis
-    is smooth; a principal ideal is smooth exactly when its generator is a
-    scalar multiple of a power of a linear form; otherwise the variety is
-    decomposed into linear leaves — a single maximal leaf is a smooth
-    germ, two incomparable maximal leaves certify a singularity.  Ideals
-    from uncertified truncations are never given a verdict.
+    Computes the reduced Groebner basis of the ideal once (none for an
+    uncertified truncation) and runs the decision tree of :func:`_decide`.
     """
     gens = [g for g in generators if not g.is_zero()]
-    quadric_rank = _quadric_rank(ring, gens)
-    degrees = [g.total_degree() for g in gens]
+    basis: list[MultiPoly] | None = None
+    if exact:
+        for g in gens:
+            if not g.is_homogeneous():
+                raise ValueError("germ analysis expects homogeneous generators")
+        basis = reduced_groebner_basis(gens) if gens else []
+    return _decide(ring, gens, basis, budget)
+
+
+def product_of_germs(
+    ring: PolyRing,
+    left: GermInvariants,
+    right: GermInvariants,
+) -> GermInvariants:
+    """The germ of the sum of two block ideals, embedded into ``ring``.
+
+    The blocks' variables must be disjoint and keep their relative order in
+    ``ring``, so grevlex leading monomials embed to leading monomials.  Then
+    every cross S-pair has coprime leading monomials (Buchberger's first
+    criterion) and no block's leading monomial divides a term of the other
+    block, so the union of the two reduced bases, sorted, is the reduced
+    basis of the sum: no Groebner run is needed.
+    """
+    gens = [g.embed(ring) for g in left.generators + right.generators]
+    basis: list[MultiPoly] | None = None
+    if left.basis is not None and right.basis is not None:
+        basis = sorted(
+            (g.embed(ring) for g in left.basis + right.basis),
+            key=lambda g: grevlex_key(g.leading_monomial()),
+        )
+    return _decide(ring, gens, basis, LEAF_BUDGET)
+
+
+def _decide(
+    ring: PolyRing,
+    gens: list[MultiPoly],
+    basis: list[MultiPoly] | None,
+    budget: int,
+) -> GermInvariants:
+    """The germ decision tree on nonzero generators and their reduced basis.
+
+    A zero ideal is smooth; an all-linear reduced basis is smooth; a
+    principal ideal is smooth exactly when its generator is a scalar
+    multiple of a power of a linear form; otherwise the variety is
+    decomposed into linear leaves — a single maximal leaf is a smooth germ,
+    two incomparable maximal leaves certify a singularity.  Ideals from
+    uncertified truncations (``basis`` None) are never given a verdict.
+    """
     n = ring.nvars
-    base = dict(
-        embedding_dimension=n,
-        generators=list(gens),
-        generator_degrees=degrees,
-        quadric_rank=quadric_rank,
-    )
-    if not exact:
-        return GermInvariants(
-            smooth=None, dimension=None, method="truncated", **base
-        )
-    if not gens:
-        return GermInvariants(
-            smooth=True, dimension=n, method="zero-ideal", **base
-        )
-    for g in gens:
-        if not g.is_homogeneous():
-            raise ValueError("germ analysis expects homogeneous generators")
-    basis = reduced_groebner_basis(gens)
-    if _is_linear_basis(basis):
-        return GermInvariants(
-            smooth=True, dimension=n - len(basis), method="linear", **base
-        )
-    if len(gens) == 1:
-        if pure_linear_power(gens[0]) is not None:
-            return GermInvariants(
-                smooth=True, dimension=n - 1, method="principal", **base
+    if basis is None:
+        smooth, dimension, method = None, None, "truncated"
+    elif not gens:
+        smooth, dimension, method = True, n, "zero-ideal"
+    elif _is_linear_basis(basis):
+        smooth, dimension, method = True, n - len(basis), "linear"
+    elif len(gens) == 1:
+        smooth = pure_linear_power(gens[0]) is not None
+        dimension, method = (n - 1 if smooth else None), "principal"
+    else:
+        leaves = _leaf_decomposition(ring, basis, budget) or []
+        # the leaves have distinct keys, so the maximal ones are distinct too
+        maximal = [
+            leaf
+            for leaf in leaves
+            if not any(
+                other is not leaf and _leaf_contains(other, leaf)
+                for other in leaves
             )
-        return GermInvariants(
-            smooth=False, dimension=None, method="principal", **base
-        )
-    leaves = _leaf_decomposition(ring, basis, budget)
-    if leaves is None:
-        return GermInvariants(
-            smooth=None, dimension=None, method="unknown", **base
-        )
-    maximal: list[list[MultiPoly]] = []
-    for leaf in leaves:
-        if any(
-            other is not leaf and _leaf_contains(other, leaf) for other in leaves
-        ):
-            continue
-        maximal.append(leaf)
-    deduped: list[list[MultiPoly]] = []
-    keys = set()
-    for leaf in maximal:
-        key = tuple(str(g) for g in leaf)
-        if key not in keys:
-            keys.add(key)
-            deduped.append(leaf)
-    if len(deduped) == 1:
-        return GermInvariants(
-            smooth=True,
-            dimension=n - len(deduped[0]),
-            method="leaf-single",
-            **base,
-        )
-    if len(deduped) >= 2:
-        return GermInvariants(
-            smooth=False, dimension=None, method="leaf-union", **base
-        )
-    return GermInvariants(smooth=None, dimension=None, method="unknown", **base)
+        ]
+        if len(maximal) == 1:
+            smooth, dimension, method = True, n - len(maximal[0]), "leaf-single"
+        elif len(maximal) >= 2:
+            smooth, dimension, method = False, None, "leaf-union"
+        else:
+            smooth, dimension, method = None, None, "unknown"
+    return GermInvariants(
+        embedding_dimension=n,
+        generators=gens,
+        basis=basis,
+        generator_degrees=[g.total_degree() for g in gens],
+        smooth=smooth,
+        dimension=dimension,
+        quadric_rank=_quadric_rank(ring, gens),
+        method=method,
+    )
 
 
 # -- splitting ----------------------------------------------------------------
@@ -649,15 +670,16 @@ class SplittingAssessment:
 
 
 def assess_splitting(
-    joint: SeriesAnalysis,
     joint_germ: GermInvariants,
-    left: SeriesAnalysis,
-    right: SeriesAnalysis,
     product_germ: GermInvariants,
     *,
     coupling_is_zero: bool,
 ) -> SplittingAssessment:
     """Compare the joint germ against the product of the block germs.
+
+    The ideals are compared through the germs' reduced Groebner bases, which
+    are unique, so equal ideals have equal bases; the comparison is
+    ``unknown`` when either ideal is an uncertified truncation.
 
     Priority: a vanishing coupling splits by direct sum outright; certified
     equality of the joint ideal with the sum of the block ideals certifies
@@ -666,12 +688,8 @@ def assess_splitting(
     non-splitting; anything else is inconclusive.
     """
     comparison = "unknown"
-    if joint.exact and left.exact and right.exact:
-        ring = joint.problem.ring
-        product_gens = [g.embed(ring) for g in left.generators] + [
-            g.embed(ring) for g in right.generators
-        ]
-        equal = ideal_equal(joint.generators, product_gens)
+    if joint_germ.basis is not None and product_germ.basis is not None:
+        equal = joint_germ.basis == product_germ.basis
         comparison = "equal" if equal else "different"
     if coupling_is_zero:
         return SplittingAssessment(

@@ -26,7 +26,6 @@ __all__ = [
     "groebner_basis",
     "reduced_groebner_basis",
     "ideal_membership",
-    "ideal_equal",
     "minimalize_generators",
 ]
 
@@ -203,11 +202,6 @@ def ideal_membership(p: MultiPoly, generators: Sequence[MultiPoly]) -> bool:
     if not basis:
         return p.is_zero()
     return normal_form(p, basis).is_zero()
-
-
-def ideal_equal(a: Sequence[MultiPoly], b: Sequence[MultiPoly]) -> bool:
-    """True iff two generator lists present the same ideal."""
-    return reduced_groebner_basis(a) == reduced_groebner_basis(b)
 
 
 def minimalize_generators(generators: Sequence[MultiPoly]) -> list[MultiPoly]:

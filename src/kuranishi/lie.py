@@ -163,31 +163,12 @@ class LieAlgebra:
                 dims.append(-1)
                 return dims
 
-    def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1] != -1
-
     def nilpotency_index(self) -> int:
         """Length of the lower central series (abelian algebras have index 1)."""
         series = self.lower_central_series()
         if series[-1] == -1:
             raise ValueError("algebra is not nilpotent")
         return len(series)
-
-    def change_basis(self, p: ExactMatrix) -> "LieAlgebra":
-        """Structure constants on the new basis f_i = sum_j p[j][i] e_j."""
-        if p.nrows != self.dim or p.ncols != self.dim:
-            raise ValueError("basis change matrix has wrong shape")
-        p_inv = inverse(p)
-        table: dict[tuple[int, int], dict[int, GaussianRational]] = {}
-        cols = p.columns()
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                w = self.bracket_vectors(cols[i], cols[j])
-                new = p_inv.apply(w)
-                coeffs = {k: c for k, c in enumerate(new) if not c.is_zero()}
-                if coeffs:
-                    table[(i, j)] = coeffs
-        return LieAlgebra(self.dim, table, validate=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):

@@ -33,7 +33,6 @@ __all__ = [
     "rref",
     "kernel_basis",
     "pivot_columns",
-    "solve",
     "inverse",
 ]
 
@@ -304,25 +303,6 @@ def kernel_basis(matrix: ExactMatrix) -> list[Vector]:
             vec[pcol] = -reduced.rows[row_idx][free]
         basis.append(tuple(vec))
     return basis
-
-
-def solve(matrix: ExactMatrix, rhs: Sequence[object]) -> Vector | None:
-    """One exact solution of ``matrix @ x = rhs``, or None if inconsistent.
-
-    The solution returned is the deterministic one with zeros at all free
-    columns.
-    """
-    b = _coerce_row(rhs)
-    if len(b) != matrix.nrows:
-        raise ValueError("rhs length mismatch")
-    augmented = matrix.hstack(ExactMatrix([[v] for v in b], ncols=1))
-    reduced, pivots = rref(augmented)
-    if matrix.ncols in pivots:
-        return None
-    x = [ZERO] * matrix.ncols
-    for row_idx, pcol in enumerate(pivots):
-        x[pcol] = reduced.rows[row_idx][matrix.ncols]
-    return tuple(x)
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:

@@ -486,19 +486,34 @@ def test_console_script_smoke():
     assert "example1" in completed.stdout
 
 
-def test_module_entry_point_smoke():
+def _run_module(*args: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        [sys.executable, "-m", "kuranishi", "catalog"],
+    return subprocess.run(
+        [sys.executable, "-m", *args],
         capture_output=True,
         text=True,
         timeout=60,
         env=env,
     )
+
+
+def test_module_entry_point_smoke():
+    completed = _run_module("kuranishi", "catalog")
     assert completed.returncode == 0, completed.stderr
     assert "example1" in completed.stdout
+
+
+def test_cli_module_entry_point_runs_the_command(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    completed = _run_module(
+        "kuranishi.cli", "validate", "--catalog", "torus", "--output", str(target)
+    )
+    assert completed.returncode == 2
+    lines = completed.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: --output: ")
 
 
 @pytest.mark.parametrize(

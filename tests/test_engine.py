@@ -8,6 +8,7 @@ against an independent fixed-point identity at the end of the module.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,8 +25,9 @@ from kuranishi.engine import (
     expand_series,
     germ_invariants,
     kuranishi_problem,
+    product_of_germs,
 )
-from kuranishi.groebner import ideal_equal
+from kuranishi.groebner import reduced_groebner_basis
 from kuranishi.linalg import ExactMatrix
 from kuranishi.poly import PolyRing
 from kuranishi.scalars import GaussianRational as G, ONE, ZERO
@@ -108,7 +110,7 @@ def test_example2_minimal_generators_generate_the_raw_obstructions():
         for p in row
         if not p.is_zero()
     ]
-    assert ideal_equal(analysis.generators, raw)
+    assert reduced_groebner_basis(analysis.generators) == reduced_groebner_basis(raw)
 
 
 def test_example2_joint_ideal_and_splitting():
@@ -203,7 +205,9 @@ def test_example1_invariants_stable_under_pivot_rule():
         assert a.germ.smooth == b.germ.smooth
         assert a.germ.dimension == b.germ.dimension
         assert a.germ.quadric_rank == b.germ.quadric_rank
-        assert ideal_equal(a.series.generators, b.series.generators)
+        assert reduced_groebner_basis(a.series.generators) == (
+            reduced_groebner_basis(b.series.generators)
+        )
 
 
 # -- block-diagonal cases ------------------------------------------------------
@@ -323,11 +327,72 @@ def test_truncated_joint_makes_splitting_inconclusive():
     problem = kuranishi_problem(uncertifiable_dgla())
     truncated = analyze_obstructions(problem)
     germ = germ_invariants(problem.ring, truncated.generators, exact=False)
-    verdict = assess_splitting(
-        truncated, germ, truncated, truncated, germ, coupling_is_zero=False
-    )
+    assert germ.basis is None
+    verdict = assess_splitting(germ, germ, coupling_is_zero=False)
     assert verdict.verdict == "Inconclusive"
     assert verdict.ideal_comparison == "unknown"
+
+
+def test_splitting_compares_the_germ_bases():
+    ring = ring3()
+    x, y, z = (ring.var(v) for v in ring.variables)
+    node = germ_invariants(ring, [x * y])
+    same = germ_invariants(ring, [(x * y).scale(G(0, 3))])
+    plane = germ_invariants(ring, [z * z])
+    truncated = germ_invariants(ring, [x * y], exact=False)
+
+    equal = assess_splitting(node, same, coupling_is_zero=False)
+    assert (equal.verdict, equal.ideal_comparison) == (
+        "SplitsAfterReparameterization",
+        "equal",
+    )
+    different = assess_splitting(node, plane, coupling_is_zero=False)
+    assert (different.verdict, different.ideal_comparison) == (
+        "DoesNotSplit",
+        "different",
+    )
+    assert "singular" in different.reason
+    for joint, product in [(truncated, node), (node, truncated)]:
+        unknown = assess_splitting(joint, product, coupling_is_zero=False)
+        assert (unknown.verdict, unknown.ideal_comparison) == (
+            "Inconclusive",
+            "unknown",
+        )
+    direct = assess_splitting(truncated, node, coupling_is_zero=True)
+    assert (direct.verdict, direct.ideal_comparison) == (
+        "SplitsByDirectSum",
+        "unknown",
+    )
+
+
+def test_product_of_germs_sorts_the_union_of_the_block_bases():
+    left_ring, right_ring = PolyRing(["a", "b"]), PolyRing(["c", "d"])
+    ring = PolyRing(["a", "b", "c", "d"])
+    a, b = left_ring.var("a"), left_ring.var("b")
+    c, d = right_ring.var("c"), right_ring.var("d")
+    left = germ_invariants(left_ring, [a * b, b * b * b])
+    right = germ_invariants(right_ring, [c * c, c * d])
+    product = product_of_germs(ring, left, right)
+    embedded = [g.embed(ring) for g in left.generators + right.generators]
+    assert product == germ_invariants(ring, embedded)
+    # the right block's leading monomials are smaller in grevlex
+    assert [str(g) for g in product.basis] == ["c*d", "c^2", "a*b", "b^3"]
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "iwasawa", "torus"])
+def test_product_germ_matches_a_germ_of_the_embedded_generators(name):
+    result = analyzed(name)
+    ring = result.joint.problem.ring
+    embedded = [
+        g.embed(ring)
+        for block in (result.deformation, result.endomorphism)
+        for g in block.series.generators
+    ]
+    assert result.product_germ == germ_invariants(ring, embedded)
+    truncated = replace(result.deformation.germ, basis=None, method="truncated")
+    product = product_of_germs(ring, truncated, result.endomorphism.germ)
+    assert product.basis is None
+    assert product.method == "truncated"
 
 
 # -- germ decision tree on hand-picked ideals ----------------------------------

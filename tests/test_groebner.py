@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from kuranishi.groebner import (
     groebner_basis,
-    ideal_equal,
     ideal_membership,
     minimalize_generators,
     normal_form,
@@ -120,10 +119,47 @@ def test_ideal_equal_under_shuffles_and_recombination() -> None:
         Y * Z + X,
     ]
     scaled = [(X * X - Y).scale(GaussianRational(0, 2)), (Y * Z + X).scale("1/3")]
-    assert ideal_equal(gens, shuffled)
-    assert ideal_equal(gens, recombined)
-    assert ideal_equal(gens, scaled)
-    assert not ideal_equal(gens, [X * X - Y])
+    assert reduced_groebner_basis(gens) == reduced_groebner_basis(shuffled)
+    assert reduced_groebner_basis(gens) == reduced_groebner_basis(recombined)
+    assert reduced_groebner_basis(gens) == reduced_groebner_basis(scaled)
+    assert reduced_groebner_basis(gens) != reduced_groebner_basis([X * X - Y])
+
+
+@st.composite
+def _block_generators(draw, ring: PolyRing, positions: range) -> list[MultiPoly]:
+    """Up to three homogeneous polynomials in the variables at ``positions``."""
+    top = draw(st.sampled_from([1, 3]))  # top 1 gives a linear basis
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(1, top))
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            exps = [0] * ring.nvars
+            for _ in range(degree):
+                exps[draw(st.sampled_from(positions))] += 1
+            coeff = GaussianRational(draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
+            terms.append((tuple(exps), coeff))
+        gens.append(ring.from_terms(terms))
+    return gens
+
+
+@st.composite
+def _disjoint_blocks(draw) -> tuple[list[MultiPoly], list[MultiPoly]]:
+    left, right = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ring = PolyRing([f"a{i}" for i in range(left)] + [f"b{i}" for i in range(right)])
+    return (
+        draw(_block_generators(ring, range(left))),
+        draw(_block_generators(ring, range(left, left + right))),
+    )
+
+
+@given(_disjoint_blocks())
+@settings(max_examples=80, deadline=None)
+def test_reduced_basis_of_disjoint_blocks_is_the_sorted_union(blocks) -> None:
+    left, right = blocks
+    union = reduced_groebner_basis(left) + reduced_groebner_basis(right)
+    union.sort(key=lambda g: grevlex_key(g.leading_monomial()))
+    assert union == reduced_groebner_basis(left + right)
 
 
 def test_minimalize_generators() -> None:

@@ -14,7 +14,6 @@ from kuranishi.linalg import (
     kernel_basis,
     pivot_columns,
     rref,
-    solve,
 )
 from kuranishi.scalars import GaussianRational, ONE, ZERO
 
@@ -108,21 +107,6 @@ def test_pivot_rules_differ_when_possible() -> None:
     assert pivot_columns(m, "latest") == (1,)
     with pytest.raises(ValueError):
         pivot_columns(m, "gauss")
-
-
-@given(matrices(max_dim=4), st.lists(entries, min_size=4, max_size=4))
-@settings(max_examples=60)
-def test_solve_consistency(m: ExactMatrix, coeffs: list[GaussianRational]) -> None:
-    x = coeffs[: m.ncols] + [ZERO] * max(0, m.ncols - len(coeffs))
-    rhs = m.apply(x)
-    sol = solve(m, rhs)
-    assert sol is not None
-    assert m.apply(sol) == rhs
-
-
-def test_solve_inconsistent() -> None:
-    m = ExactMatrix([[1, 0], [1, 0]])
-    assert solve(m, [1, 2]) is None
 
 
 def test_inverse_small() -> None:
