@@ -75,7 +75,6 @@ class KuranishiProblem:
     parameters: list[str]
     harmonic_reps: list[Vector]
     linear_term: list[MultiPoly]
-    pivot_rule: str
 
     def homotopy(self, degree: int) -> ExactMatrix:
         record = self.hodge.get(degree)
@@ -121,7 +120,6 @@ def kuranishi_problem(
         parameters=names,
         harmonic_reps=list(reps),
         linear_term=linear,
-        pivot_rule=pivot_rule,
     )
 
 
@@ -164,8 +162,6 @@ def expand_series(
             j = k - i
             if i > j:
                 break
-            if i not in series or j not in series:
-                continue
             term = dgla.bracket_vectors(1, series[i], 1, series[j], zero=zero)
             factor = ONE if i == j else GaussianRational(2)
             self_bracket = [
@@ -196,22 +192,20 @@ def _delta_bracket(
     return problem.homotopy(2).apply(bracket)
 
 
-def _closure_certificate(problem: KuranishiProblem, saturation_cap: int = 64) -> dict | None:
+def _closure_certificate(problem: KuranishiProblem) -> dict | None:
     """Bracket-closure certificate: every obstruction vanishes identically.
 
     Saturates the span of the degree-one harmonic representatives under the
     homotopy-corrected bracket; if the saturation closes up and all
     harmonic components of brackets of the saturated span vanish, every
-    series term stays inside the span and every obstruction is zero.
+    series term stays inside the span and every obstruction is zero.  A
+    saturation round that changes the span raises its dimension, so at most
+    ``dgla.dim(1) + 1`` rounds run.
     """
     span = EchelonBasis(problem.dgla.dim(1), problem.harmonic_reps)
     changed = True
-    rounds = 0
     while changed:
         changed = False
-        rounds += 1
-        if rounds > saturation_cap:
-            return None
         basis = [list(row) for row in span.rows]
         for u in basis:
             for v in basis:
@@ -219,10 +213,10 @@ def _closure_certificate(problem: KuranishiProblem, saturation_cap: int = 64) ->
                     changed = True
     basis = [list(row) for row in span.rows]
     record = problem.hodge.get(2)
-    for u in basis:
-        for v in basis:
-            bracket = problem.dgla.bracket_vectors(1, u, 1, v)
-            if record is not None and record.harmonic:
+    if record is not None and record.harmonic:
+        for u in basis:
+            for v in basis:
+                bracket = problem.dgla.bracket_vectors(1, u, 1, v)
                 coords = record.harmonic_coordinates.apply(bracket)
                 if any(not c.is_zero() for c in coords):
                     return None
@@ -320,12 +314,11 @@ def _rational_certificate(
 
     # clear denominators: q^2 * selfbracket(x1 + tail/q)
     q2 = q * q
-    br_11 = dgla.bracket_vectors(1, x1, 1, x1, zero=zero)
     br_1n = dgla.bracket_vectors(1, x1, 1, tail_num, zero=zero)
     br_nn = dgla.bracket_vectors(1, tail_num, 1, tail_num, zero=zero)
     cleared = [
         (a * q2) + (b * q).scale(GaussianRational(2)) + c
-        for a, b, c in zip(br_11, br_1n, br_nn)
+        for a, b, c in zip(self_bracket, br_1n, br_nn)
     ]
     coords = _harmonic_poly_coordinates(problem, 2, cleared)
     bound = max((p.total_degree() for p in coords), default=0)
