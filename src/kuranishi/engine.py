@@ -200,22 +200,24 @@ def _closure_certificate(problem: KuranishiProblem) -> dict | None:
     harmonic components of brackets of the saturated span vanish, every
     series term stays inside the span and every obstruction is zero.  A
     saturation round that changes the span raises its dimension, so at most
-    ``dgla.dim(1) + 1`` rounds run.
+    ``dgla.dim(1) + 1`` rounds run.  The bracket of two degree-one elements
+    is symmetric (the axiom gate checks graded antisymmetry), so each
+    unordered pair of basis rows is bracketed once.
     """
     span = EchelonBasis(problem.dgla.dim(1), problem.harmonic_reps)
     changed = True
     while changed:
         changed = False
         basis = [list(row) for row in span.rows]
-        for u in basis:
-            for v in basis:
+        for a, u in enumerate(basis):
+            for v in basis[a:]:
                 if span.add(_delta_bracket(problem, u, v)):
                     changed = True
     basis = [list(row) for row in span.rows]
     record = problem.hodge.get(2)
     if record is not None and record.harmonic:
-        for u in basis:
-            for v in basis:
+        for a, u in enumerate(basis):
+            for v in basis[a:]:
                 bracket = problem.dgla.bracket_vectors(1, u, 1, v)
                 coords = record.harmonic_coordinates.apply(bracket)
                 if any(not c.is_zero() for c in coords):

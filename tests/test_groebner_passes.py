@@ -1,24 +1,30 @@
-"""Differential tests of the single-pass Groebner code against its frozen predecessor.
+"""Differential tests of the packed single-pass Groebner code against the
+frozen tuple-monomial code.
 
 ``oracle_groebner_passes`` keeps the pair update that tested every lcm class,
-the fixpoint interreduction and the degree-by-degree survivor rule.  These
-tests check that the single passes give the same pair list after every
-update, the same reduced bases and the same survivors.
+the fixpoint interreduction and the degree-by-degree survivor rule, all on
+exponent tuples.  These tests check that the packed single passes give the
+same pair list after every update, the same normal forms, S-polynomials,
+reduced bases and survivors, down to the order of their terms, on rings of
+1, 3 and 31 variables and with degrees just below the packing limit.
 """
 
 from __future__ import annotations
 
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_groebner_passes as oracle
 from kuranishi import groebner
+from kuranishi.groebner import DEGREE_LIMIT
 from kuranishi.poly import MultiPoly, PolyRing, grevlex_key
 from kuranishi.scalars import GaussianRational
 
 R = PolyRing(["x", "y", "z"])
+RINGS = [PolyRing([f"t{i}" for i in range(n)]) for n in (1, 3, 31)]
 
 _COEFFS = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-1, 1))
 
@@ -72,17 +78,40 @@ def _homogeneous_lists(draw) -> list[MultiPoly]:
     return draw(st.permutations(gens))
 
 
+def _frozen_pairs(basis) -> list[oracle.Pair]:
+    """The pending pairs of a packed basis as the frozen code holds them:
+    ``(grevlex_key(lcm), lcm, i, j)`` in insertion order."""
+    unpack = basis.packing.unpack
+    pairs = []
+    for _, _, lcm, i, j in sorted(basis.pairs, key=lambda pair: pair[1]):
+        exps = unpack(lcm)
+        pairs.append((grevlex_key(exps), exps, i, j))
+    return pairs
+
+
+def _frozen_selection(pairs: list[oracle.Pair]) -> list[tuple[int, int]]:
+    """The order in which the frozen loop would pop ``pairs``: the first
+    pair of least lcm, again and again."""
+    order = sorted(range(len(pairs)), key=lambda k: (pairs[k][0], k))
+    return [pairs[k][2:] for k in order]
+
+
 def _checked_update(candidates: list[MultiPoly]):
-    """An ``_update`` that also runs the frozen one on copies and compares."""
+    """An ``_update`` that also runs the frozen one on unpacked copies and
+    compares the basis, the pair list and the order the heap pops it in."""
     update = groebner._update
 
-    def checked(basis, pairs, candidate):
-        old_basis, old_pairs = list(basis), list(pairs)
-        oracle._update(old_basis, old_pairs, candidate)
-        update(basis, pairs, candidate)
-        assert pairs == old_pairs
-        assert basis == old_basis
-        candidates.append(candidate)
+    def checked(basis, candidate):
+        packing = basis.packing
+        old_basis = [packing.poly(f) for f in basis.polys]
+        old_pairs = _frozen_pairs(basis)
+        unpacked = packing.poly(candidate)
+        oracle._update(old_basis, old_pairs, unpacked)
+        update(basis, candidate)
+        assert _frozen_pairs(basis) == old_pairs
+        assert [pair[3:] for pair in sorted(basis.pairs)] == _frozen_selection(old_pairs)
+        assert [packing.poly(f) for f in basis.polys] == old_basis
+        candidates.append(unpacked)
 
     return checked
 
@@ -108,3 +137,94 @@ def test_reduced_basis_matches_fixpoint_interreduction(gens) -> None:
 @settings(max_examples=150, deadline=None)
 def test_survivors_match_degree_by_degree_rule(gens) -> None:
     assert groebner.minimalize_generators(gens) == oracle.minimalize_generators(gens)
+
+
+# -- rings of 1, 3 and 31 variables, degrees up to just below the limit --------
+
+
+def _same_terms(new: list[MultiPoly], old: list[MultiPoly]) -> None:
+    assert new == old
+    assert [list(p.terms) for p in new] == [list(p.terms) for p in old]
+
+
+@st.composite
+def _sparse(draw, ring: PolyRing, degree: int | None = None) -> MultiPoly:
+    """Up to three terms of degree at most 3 (exactly ``degree`` if given):
+    zero, constants and non-homogeneous polynomials all occur."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        exps = [0] * ring.nvars
+        for _ in range(draw(st.integers(0, 3)) if degree is None else degree):
+            exps[draw(st.integers(0, ring.nvars - 1))] += 1
+        terms.append((tuple(exps), draw(_COEFFS)))
+    return ring.from_terms(terms)
+
+
+@st.composite
+def _lifted(draw, polys: list[MultiPoly], margin: int) -> list[MultiPoly]:
+    """``polys``, or each of them times ``v ** (DEGREE_LIMIT - 1 - margin)``
+    for one variable ``v``: with ``margin = 3`` a degree-3 input then has
+    degree ``DEGREE_LIMIT - 1``, the largest the packing takes."""
+    if not polys or not draw(st.booleans()):
+        return polys
+    ring = polys[0].ring
+    exps = [0] * ring.nvars
+    exps[draw(st.integers(0, ring.nvars - 1))] = DEGREE_LIMIT - 1 - margin
+    power = ring.monomial(tuple(exps))
+    return [p * power for p in polys]
+
+
+@st.composite
+def _wide(draw, margin: int, homogeneous: bool = False) -> list[MultiPoly]:
+    """Zero to four polynomials of one ring of 1, 3 or 31 variables."""
+    ring = draw(st.sampled_from(RINGS))
+    degree = st.integers(0, 3) if homogeneous else st.none()
+    polys = [draw(_sparse(ring, draw(degree))) for _ in range(draw(st.integers(0, 4)))]
+    return draw(_lifted(polys, margin))
+
+
+@given(_wide(margin=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_normal_form_and_spoly_match_frozen_code(polys, data) -> None:
+    if not polys:
+        return
+    p, basis = polys[0], polys[1:]
+    _same_terms([groebner.normal_form(p, basis)], [oracle.normal_form(p, basis)])
+    nonzero = [g for g in polys if not g.is_zero()]
+    if len(nonzero) >= 2:
+        f, g = data.draw(st.permutations(nonzero))[:2]
+        lcm = map(max, f.leading_monomial(), g.leading_monomial())
+        if sum(lcm) < DEGREE_LIMIT:
+            _same_terms([groebner.spoly(f, g)], [oracle.spoly(f, g)])
+
+
+@given(_wide(margin=48))
+@settings(max_examples=100, deadline=None)
+def test_reduced_basis_matches_frozen_code_on_wide_rings(gens) -> None:
+    candidates: list[MultiPoly] = []
+    with mock.patch.object(groebner, "_update", _checked_update(candidates)):
+        new = groebner.reduced_groebner_basis(gens)
+    _same_terms(new, oracle.reduced_groebner_basis(gens))
+
+
+@given(_wide(margin=48, homogeneous=True))
+@settings(max_examples=100, deadline=None)
+def test_survivors_match_frozen_code_on_wide_rings(gens) -> None:
+    candidates: list[MultiPoly] = []
+    with mock.patch.object(groebner, "_update", _checked_update(candidates)):
+        new = groebner.minimalize_generators(gens)
+    _same_terms(new, oracle.minimalize_generators(gens))
+
+
+def test_degrees_at_the_packing_limit_raise() -> None:
+    ring = PolyRing(["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    top = x ** (DEGREE_LIMIT - 1)
+    assert groebner.normal_form(top + y, [y]) == top
+    limit = str(DEGREE_LIMIT)
+    with pytest.raises(ValueError, match=limit):
+        groebner.normal_form(top * x, [y])  # an input at the limit
+    with pytest.raises(ValueError, match=limit):
+        groebner.spoly(top, y)  # an lcm at the limit
+    with pytest.raises(ValueError, match=limit):
+        groebner.reduced_groebner_basis([top + y, x * y])  # a pair's lcm
