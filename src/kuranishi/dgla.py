@@ -6,7 +6,14 @@ sparse table of structure constants for the graded bracket.  On top of the
 container this module provides
 
 * axiom validation (``d**2 = 0``, graded antisymmetry, the graded Leibniz
-  rule, and the graded Jacobi identity), reporting human-readable failures;
+  rule, and the graded Jacobi identity), reporting human-readable failures.
+  The check visits only nonzero structure: the Leibniz rule is evaluated on
+  the pairs that a stored bracket or a nonzero differential column can make
+  nonzero, and the Jacobi identity on the triples that contain a stored pair
+  whose bracket has a nonzero bracket with the third element.  On every
+  other pair or triple both sides are zero term by term, so it cannot fail
+  there; the candidates are visited in basis-key order, so the messages and
+  their order are those of a loop over every pair and every triple;
 * cohomology dimensions;
 * the canonical splitting of each graded piece into harmonic, exact, and
   coexact subspaces, together with the harmonic projection and the
@@ -24,7 +31,6 @@ pivot rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -256,20 +262,33 @@ def dgla_axiom_failures(dgla: Dgla, *, max_failures: int = 20) -> list[str]:
     Checks, in order: ``d`` squares to zero, the bracket is graded
     antisymmetric, the graded Leibniz rule, and the graded Jacobi identity.
     At most ``max_failures`` messages are collected.
+
+    Only nonzero structure is visited.  ``d**2`` is formed only where two
+    consecutive differentials are stored.  The Leibniz rule is evaluated on
+    the pairs ``(a, b)`` with ``[a, b] != 0``, or with a component ``c`` of
+    ``d(a)`` such that ``[c, b] != 0``, or a component ``c`` of ``d(b)``
+    such that ``[a, c] != 0``; on every other pair both sides are zero.  The
+    Jacobi identity is evaluated on the sorted triples ``{o, p, q}`` where a
+    stored pair ``(p, q)``, in either order, has a component ``m`` with
+    ``[o, m] != 0``; on every other triple each term of the cyclic sum is
+    zero.  Candidates are visited in the order of the basis keys, as a loop
+    over every pair and every sorted triple would visit them, so the
+    messages and their order are those of that loop.
     """
     failures: list[str] = []
 
     def full() -> bool:
         return len(failures) >= max_failures
 
+    brackets = dgla.brackets
     for i in dgla.degrees():
-        square = dgla.differential_matrix(i + 1) @ dgla.differential_matrix(i)
-        if not square.is_zero():
+        outer, inner = dgla.differentials.get(i + 1), dgla.differentials.get(i)
+        if outer is not None and inner is not None and not (outer @ inner).is_zero():
             failures.append(f"d(d(x)) is nonzero for x in degree {i}")
             if full():
                 return failures
 
-    for (key_a, key_b), entry in sorted(dgla.brackets.items()):
+    for (key_a, key_b), entry in sorted(brackets.items()):
         sign = -ONE if (key_a[0] * key_b[0]) % 2 == 0 else ONE
         expected = {c: v * sign for c, v in entry.items()}
         if dgla.bracket_entry(key_b, key_a) != expected:
@@ -279,48 +298,59 @@ def dgla_axiom_failures(dgla: Dgla, *, max_failures: int = 20) -> list[str]:
             if full():
                 return failures
 
-    keys = dgla.basis_keys()
-    for key_a in keys:
-        i, a = key_a
-        d_a = dgla.differential_matrix(i).column(a)
-        for key_b in keys:
-            j, b = key_b
-            lhs: dict[int, GaussianRational] = {}
-            target = dgla.differential_matrix(i + j)
-            for c, v in dgla.bracket_entry(key_a, key_b).items():
-                _add_scaled_entry(lhs, v, dict(enumerate(target.column(c))))
-            rhs: dict[int, GaussianRational] = {}
-            for c, v in enumerate(d_a):
+    # nonzero differential columns, and who each key is bracketed with
+    columns: dict[BasisKey, dict[int, GaussianRational]] = {}
+    for i, matrix in dgla.differentials.items():
+        for row, values in enumerate(matrix.rows):
+            for a, v in enumerate(values):
                 if not v.is_zero():
-                    rhs_entry = dgla.bracket_entry((i + 1, c), key_b)
-                    _add_scaled_entry(rhs, v, rhs_entry)
-            sign = ONE if i % 2 == 0 else -ONE
-            for c, v in enumerate(dgla.differential_matrix(j).column(b)):
-                if not v.is_zero():
-                    _add_scaled_entry(rhs, v * sign, dgla.bracket_entry(key_a, (j + 1, c)))
-            if lhs != rhs:
-                failures.append(
-                    f"Leibniz rule fails on {_pair_text(dgla, key_a, key_b)}"
-                )
-                if full():
-                    return failures
+                    columns.setdefault((i, a), {})[row] = v
+    right_partners: dict[BasisKey, list[BasisKey]] = {}
+    left_partners: dict[BasisKey, list[BasisKey]] = {}
+    for key_a, key_b in brackets:
+        right_partners.setdefault(key_a, []).append(key_b)
+        left_partners.setdefault(key_b, []).append(key_a)
 
-    for key_x, key_y, key_z in combinations_with_replacement(keys, 3):
-        entry_yz = dgla.bracket_entry(key_y, key_z)
-        entry_zx = dgla.bracket_entry(key_z, key_x)
-        entry_xy = dgla.bracket_entry(key_x, key_y)
-        if not (entry_yz or entry_zx or entry_xy):
-            continue
+    pairs = set(brackets)
+    for key, column in columns.items():
+        for c in column:
+            image = (key[0] + 1, c)
+            pairs.update((key, key_b) for key_b in right_partners.get(image, ()))
+            pairs.update((key_a, key) for key_a in left_partners.get(image, ()))
+    for key_a, key_b in sorted(pairs):
+        i, j = key_a[0], key_b[0]
+        lhs: dict[int, GaussianRational] = {}
+        for c, v in brackets.get((key_a, key_b), {}).items():
+            _add_scaled_entry(lhs, v, columns.get((i + j, c), {}))
+        rhs: dict[int, GaussianRational] = {}
+        for c, v in columns.get(key_a, {}).items():
+            _add_scaled_entry(rhs, v, brackets.get(((i + 1, c), key_b), {}))
+        for c, v in columns.get(key_b, {}).items():
+            coeff = -v if i % 2 else v
+            _add_scaled_entry(rhs, coeff, brackets.get((key_a, (j + 1, c)), {}))
+        if lhs != rhs:
+            failures.append(f"Leibniz rule fails on {_pair_text(dgla, key_a, key_b)}")
+            if full():
+                return failures
+
+    triples: set[tuple[BasisKey, BasisKey, BasisKey]] = set()
+    for (key_p, key_q), entry in brackets.items():
+        degree = key_p[0] + key_q[0]
+        for m in entry:
+            for key_o in left_partners.get((degree, m), ()):
+                triples.add(tuple(sorted((key_o, key_p, key_q))))
+    for key_x, key_y, key_z in sorted(triples):
         i, j, k = key_x[0], key_y[0], key_z[0]
         total: dict[int, GaussianRational] = {}
-        for outer, degree, entry, sign_exp in (
-            (key_x, j + k, entry_yz, i * k),
-            (key_y, k + i, entry_zx, j * i),
-            (key_z, i + j, entry_xy, k * j),
+        for outer, pair, degree, sign_exp in (
+            (key_x, (key_y, key_z), j + k, i * k),
+            (key_y, (key_z, key_x), k + i, j * i),
+            (key_z, (key_x, key_y), i + j, k * j),
         ):
-            sign = ONE if sign_exp % 2 == 0 else -ONE
-            for m, v in entry.items():
-                _add_scaled_entry(total, v * sign, dgla.bracket_entry(outer, (degree, m)))
+            for m, v in brackets.get(pair, {}).items():
+                outer_entry = brackets.get((outer, (degree, m)))
+                if outer_entry:
+                    _add_scaled_entry(total, -v if sign_exp % 2 else v, outer_entry)
         if total:
             failures.append(
                 "graded Jacobi identity fails on "

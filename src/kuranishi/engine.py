@@ -234,8 +234,10 @@ def _rational_certificate(
 
     Saturates the span of homotopy-corrected harmonic brackets under
     bracketing with single harmonic directions; requires the span to
-    bracket to zero with itself after the homotopy.  The correction tail
-    then solves a linear system over the parameter field, the obstruction
+    bracket to zero with itself after the homotopy.  The degree-one bracket
+    is symmetric, so, as in :func:`_closure_certificate`, each unordered
+    pair is bracketed once.  The correction tail then solves a linear
+    system over the parameter field, the obstruction
     generating function times ``q**2`` (``q`` the system determinant,
     ``q(0) = 1``) is a polynomial of some degree ``D``, and a recurrence
     shows all obstructions above degree ``D`` are redundant.
@@ -249,8 +251,8 @@ def _rational_certificate(
     n = dgla.dim(1)
     reps = problem.harmonic_reps
     span = EchelonBasis(n)
-    for u in reps:
-        for v in reps:
+    for a, u in enumerate(reps):
+        for v in reps[a:]:
             span.add(_delta_bracket(problem, u, v))
     changed = True
     while changed:
@@ -261,8 +263,8 @@ def _rational_certificate(
                     changed = True
     basis = [list(row) for row in span.rows]
     width = len(basis)
-    for u in basis:
-        for v in basis:
+    for a, u in enumerate(basis):
+        for v in basis[a:]:
             if any(not c.is_zero() for c in _delta_bracket(problem, u, v)):
                 return None
 

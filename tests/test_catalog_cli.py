@@ -236,7 +236,11 @@ def test_cli_validate_curvature_that_breaks_axioms_exits_two(tmp_path, capsys):
     )
     assert main(["validate", str(config)]) == 2
     out = capsys.readouterr().out
-    assert "curvature breaks the DGLA axioms" in out
+    # the gate's first failure, which names the first failing pair
+    assert (
+        "error: curvature breaks the DGLA axioms: "
+        "Leibniz rule fails on [a3*W1, a3*W1]"
+    ) in out.splitlines()
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])

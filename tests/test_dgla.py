@@ -102,6 +102,45 @@ def test_jacobi_failure_detected() -> None:
     assert any("Jacobi" in f for f in failures)
 
 
+def test_failures_are_listed_in_basis_key_order() -> None:
+    # d(a) = u, d(b) = v; [c, v] = w makes (c, b) fail through d(b) alone
+    basis = {0: ["a", "b", "c"], 1: ["u", "v", "w"]}
+    d0 = ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    entries = {
+        ((0, 2), (1, 1)): {2: 1},  # [c, v] = w
+        ((0, 0), (0, 1)): {2: 1},  # [a, b] = c
+        ((0, 2), (0, 0)): {0: 1},  # [c, a] = a
+        ((0, 2), (1, 0)): {0: 1},  # [c, u] = u
+    }
+    bad = Dgla.from_bracket_entries(basis, {0: d0}, entries)
+    assert dgla_axiom_failures(bad) == [
+        "Leibniz rule fails on [b, c]",
+        "Leibniz rule fails on [c, b]",
+        "graded Jacobi identity fails on (a, b, c)",
+        "graded Jacobi identity fails on (a, b, u)",
+        "graded Jacobi identity fails on (a, b, v)",
+    ]
+    assert dgla_axiom_failures(bad, max_failures=3) == dgla_axiom_failures(bad)[:3]
+    with pytest.raises(DglaAxiomError, match=r"^Leibniz rule fails on \[b, c\]$"):
+        validate_dgla(bad)
+
+
+def test_jacobi_failures_are_listed_in_triple_order() -> None:
+    entries = {
+        ((0, 0), (0, 1)): {2: 1},  # [e1, e2] = e3
+        ((0, 0), (0, 2)): {0: 1},  # [e1, e3] = e1
+        ((0, 1), (0, 3)): {3: 1},  # [e2, e4] = e4
+        ((0, 2), (0, 3)): {1: 1},  # [e3, e4] = e2
+    }
+    bad = Dgla.from_bracket_entries({0: ["e1", "e2", "e3", "e4"]}, {}, entries)
+    assert dgla_axiom_failures(bad) == [
+        "graded Jacobi identity fails on (e1, e2, e3)",
+        "graded Jacobi identity fails on (e1, e2, e4)",
+        "graded Jacobi identity fails on (e1, e3, e4)",
+        "graded Jacobi identity fails on (e2, e3, e4)",
+    ]
+
+
 def test_even_self_bracket_rejected() -> None:
     with pytest.raises(ValueError):
         Dgla.from_bracket_entries({0: ["a"]}, {}, {((0, 0), (0, 0)): {0: 1}})
