@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .builders import PairDgla, _contraction_coefficients, build_pair_dgla
-from .dgla import Dgla, cohomology_dimensions
+from .dgla import Dgla
 from .engine import (
     GermInvariants,
     KuranishiProblem,
@@ -239,7 +239,7 @@ def _block(
         name=name,
         dgla=dgla,
         problem=problem,
-        cohomology=cohomology_dimensions(dgla),
+        cohomology={i: len(record.harmonic) for i, record in problem.hodge.items()},
         harmonic_descriptions=descriptions,
         series=series,
         germ=germ,

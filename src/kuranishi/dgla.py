@@ -14,11 +14,10 @@ container this module provides
   other pair or triple both sides are zero term by term, so it cannot fail
   there; the candidates are visited in basis-key order, so the messages and
   their order are those of a loop over every pair and every triple;
-* cohomology dimensions;
 * the canonical splitting of each graded piece into harmonic, exact, and
-  coexact subspaces, together with the harmonic projection and the
-  contracting homotopy that the deformation engine uses to solve the
-  recursive deformation equation.
+  coexact subspaces (the harmonic counts are the cohomology dimensions),
+  with the harmonic coordinates and the contracting homotopy that the
+  deformation engine uses to solve the recursive deformation equation.
 
 All choices are deterministic: harmonic representatives are kernel-basis
 vectors reduced modulo the reduced echelon basis of the exact subspace
@@ -40,7 +39,6 @@ from .linalg import (
     inverse,
     kernel_basis,
     pivot_columns,
-    rref,
 )
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -48,7 +46,6 @@ __all__ = [
     "Dgla",
     "DglaAxiomError",
     "HodgeDegree",
-    "cohomology_dimensions",
     "dgla_axiom_failures",
     "hodge_decomposition",
     "validate_dgla",
@@ -369,15 +366,6 @@ def validate_dgla(dgla: Dgla) -> None:
         raise DglaAxiomError(failures[0])
 
 
-# -- cohomology -------------------------------------------------------------
-
-
-def cohomology_dimensions(dgla: Dgla) -> dict[int, int]:
-    """Dimension of ``ker d / im d`` in every nonzero degree."""
-    ranks = {i: len(rref(dgla.differential_matrix(i))[1]) for i in dgla.degrees()}
-    return {i: dgla.dim(i) - ranks[i] - ranks.get(i - 1, 0) for i in dgla.degrees()}
-
-
 # -- harmonic / exact / coexact splitting ------------------------------------
 
 
@@ -398,9 +386,6 @@ class HodgeDegree:
     coexact : list of vectors
         Coordinate vectors at the pivot columns of the outgoing
         differential; ``d`` is injective on their span ``A``.
-    projection : ExactMatrix
-        Projection of ``L^i`` onto the span of ``harmonic`` along
-        ``im(d) + A``.
     homotopy : ExactMatrix
         The contracting homotopy ``delta : L^i -> L^{i-1}``; it inverts
         ``d`` on the exact subspace, vanishes on the harmonic and coexact
@@ -414,7 +399,6 @@ class HodgeDegree:
     harmonic: list[Vector]
     image: list[Vector]
     coexact: list[Vector]
-    projection: ExactMatrix
     homotopy: ExactMatrix
     harmonic_coordinates: ExactMatrix
 
@@ -437,17 +421,22 @@ def hodge_decomposition(dgla: Dgla, pivot_rule: str = "earliest") -> dict[int, H
 
     ``pivot_rule`` selects which coordinate vectors span the coexact
     complements (see :func:`kuranishi.linalg.pivot_columns`).  Harmonic
-    representatives are independent of the rule; the homotopy and the
-    projection are not.
+    representatives are independent of the rule; the homotopy is not.
+
+    The degrees are visited once, in increasing order.  The pivot columns
+    of ``d_i`` index the coexact part of ``L^i`` and are carried to degree
+    ``i + 1`` as its image pivots (none when that degree is zero).  The
+    homotopy places the image-coordinate rows of the inverse change of
+    basis at those pivot rows of ``L^{i-1}``, zero elsewhere.
     """
     result: dict[int, HodgeDegree] = {}
+    incoming = ExactMatrix([], ncols=0)
+    below_pivots: tuple[int, ...] = ()
     for i in dgla.degrees():
         n = dgla.dim(i)
         outgoing = dgla.differential_matrix(i)
-        incoming = dgla.differential_matrix(i - 1)
-        below_pivots = pivot_columns(incoming, pivot_rule)
-        image_vectors = [incoming.column(p) for p in below_pivots]
         here_pivots = pivot_columns(outgoing, pivot_rule)
+        image_vectors = [incoming.column(p) for p in below_pivots]
         coexact_vectors: list[Vector] = []
         for p in here_pivots:
             unit = [ZERO] * n
@@ -462,28 +451,19 @@ def hodge_decomposition(dgla: Dgla, pivot_rule: str = "earliest") -> dict[int, H
                 "is not contained in the kernel"
             )
         change = ExactMatrix.from_columns(
-            [list(v) for v in harmonic + list(image_vectors) + coexact_vectors],
-            nrows=n,
+            [list(v) for v in harmonic + image_vectors + coexact_vectors], nrows=n
         )
         change_inv = inverse(change)
-        coords = ExactMatrix(list(change_inv.rows[:h]), ncols=n)
-        image_coords = ExactMatrix(
-            list(change_inv.rows[h : h + len(image_vectors)]), ncols=n
-        )
-        projection = ExactMatrix.from_columns(
-            [list(v) for v in harmonic], nrows=n
-        ) @ coords
-        dim_below = dgla.dim(i - 1)
-        homotopy = ExactMatrix.from_columns(
-            [list(dgla.basis_vector(i - 1, p)) for p in below_pivots], nrows=dim_below
-        ) @ image_coords
+        homotopy_rows = [[ZERO] * n for _ in range(dgla.dim(i - 1))]
+        for p, row in zip(below_pivots, change_inv.rows[h:]):
+            homotopy_rows[p] = row
         result[i] = HodgeDegree(
             degree=i,
             harmonic=harmonic,
-            image=list(image_vectors),
+            image=image_vectors,
             coexact=coexact_vectors,
-            projection=projection,
-            homotopy=homotopy,
-            harmonic_coordinates=coords,
+            homotopy=ExactMatrix(homotopy_rows, ncols=n),
+            harmonic_coordinates=ExactMatrix(change_inv.rows[:h], ncols=n),
         )
+        incoming, below_pivots = outgoing, here_pivots
     return result

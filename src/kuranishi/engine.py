@@ -196,33 +196,33 @@ def _closure_certificate(problem: KuranishiProblem) -> dict | None:
     """Bracket-closure certificate: every obstruction vanishes identically.
 
     Saturates the span of the degree-one harmonic representatives under the
-    homotopy-corrected bracket; if the saturation closes up and all
-    harmonic components of brackets of the saturated span vanish, every
-    series term stays inside the span and every obstruction is zero.  A
-    saturation round that changes the span raises its dimension, so at most
-    ``dgla.dim(1) + 1`` rounds run.  The bracket of two degree-one elements
-    is symmetric (the axiom gate checks graded antisymmetry), so each
-    unordered pair of basis rows is bracketed once.
+    homotopy-corrected bracket; if all harmonic components of brackets of
+    the saturated span vanish, every series term stays inside the span and
+    every obstruction is zero.  The saturation is a worklist: each vector
+    that grows the span joins a list and is bracketed once with itself and
+    each vector before it (the degree-one bracket is symmetric).  The list
+    spans the saturated span and the bracket is bilinear, so these brackets
+    decide both the closure and the harmonic check, which returns None at
+    the first nonzero harmonic coordinate.
     """
-    span = EchelonBasis(problem.dgla.dim(1), problem.harmonic_reps)
-    changed = True
-    while changed:
-        changed = False
-        basis = [list(row) for row in span.rows]
-        for a, u in enumerate(basis):
-            for v in basis[a:]:
-                if span.add(_delta_bracket(problem, u, v)):
-                    changed = True
-    basis = [list(row) for row in span.rows]
+    dgla = problem.dgla
+    delta = problem.homotopy(2)
     record = problem.hodge.get(2)
-    if record is not None and record.harmonic:
-        for a, u in enumerate(basis):
-            for v in basis[a:]:
-                bracket = problem.dgla.bracket_vectors(1, u, 1, v)
-                coords = record.harmonic_coordinates.apply(bracket)
-                if any(not c.is_zero() for c in coords):
-                    return None
-    return {"spanDimension": len(basis)}
+    # the harmonic representatives are independent, so each grows the span
+    found = list(problem.harmonic_reps)
+    span = EchelonBasis(dgla.dim(1), found)
+    # ``found`` grows while it is walked; each new vector is walked in turn
+    for k, u in enumerate(found):
+        for v in found[: k + 1]:
+            bracket = dgla.bracket_vectors(1, u, 1, v)
+            if record is not None and any(
+                not c.is_zero() for c in record.harmonic_coordinates.apply(bracket)
+            ):
+                return None
+            image = delta.apply(bracket)
+            if span.add(image):
+                found.append(image)
+    return {"spanDimension": len(found)}
 
 
 def _rational_certificate(
@@ -233,14 +233,16 @@ def _rational_certificate(
     """Rational-fixed-point certificate for the correction tail.
 
     Saturates the span of homotopy-corrected harmonic brackets under
-    bracketing with single harmonic directions; requires the span to
-    bracket to zero with itself after the homotopy.  The degree-one bracket
-    is symmetric, so, as in :func:`_closure_certificate`, each unordered
-    pair is bracketed once.  The correction tail then solves a linear
-    system over the parameter field, the obstruction
-    generating function times ``q**2`` (``q`` the system determinant,
-    ``q(0) = 1``) is a polynomial of some degree ``D``, and a recurrence
-    shows all obstructions above degree ``D`` are redundant.
+    bracketing with single harmonic directions, by a worklist: seeded with
+    ``delta[h_a, h_b]`` for ``a <= b`` (the degree-one bracket is
+    symmetric), each vector that grows the span is bracketed once with each
+    harmonic representative, which closes the span since the bracket is
+    bilinear.  The span must bracket to zero with itself after the
+    homotopy.  The correction tail then solves a linear system over the
+    parameter field, the obstruction generating function times ``q**2``
+    (``q`` the system determinant, ``q(0) = 1``) is a polynomial of some
+    degree ``D``, and a recurrence shows all obstructions above degree
+    ``D`` are redundant.
 
     Returns certificate metadata plus the complete obstruction table up to
     degree ``D``, or None when the route does not apply.
@@ -251,16 +253,14 @@ def _rational_certificate(
     n = dgla.dim(1)
     reps = problem.harmonic_reps
     span = EchelonBasis(n)
-    for a, u in enumerate(reps):
-        for v in reps[a:]:
-            span.add(_delta_bracket(problem, u, v))
-    changed = True
-    while changed:
-        changed = False
+    seeds = (_delta_bracket(problem, u, v) for a, u in enumerate(reps) for v in reps[a:])
+    found = [w for w in seeds if span.add(w)]
+    # ``found`` grows while it is walked; each new vector is walked in turn
+    for w in found:
         for rep in reps:
-            for row in [list(r) for r in span.rows]:
-                if span.add(_delta_bracket(problem, rep, row)):
-                    changed = True
+            image = _delta_bracket(problem, rep, w)
+            if span.add(image):
+                found.append(image)
     basis = [list(row) for row in span.rows]
     width = len(basis)
     for a, u in enumerate(basis):
@@ -559,7 +559,6 @@ def germ_invariants(
     generators: Sequence[MultiPoly],
     *,
     exact: bool = True,
-    budget: int = LEAF_BUDGET,
 ) -> GermInvariants:
     """Set-level smoothness analysis of the cone germ of a homogeneous ideal.
 
@@ -573,7 +572,7 @@ def germ_invariants(
             if not g.is_homogeneous():
                 raise ValueError("germ analysis expects homogeneous generators")
         basis = reduced_groebner_basis(gens) if gens else []
-    return _decide(ring, gens, basis, budget)
+    return _decide(ring, gens, basis)
 
 
 def product_of_germs(
@@ -597,14 +596,13 @@ def product_of_germs(
             (g.embed(ring) for g in left.basis + right.basis),
             key=lambda g: grevlex_key(g.leading_monomial()),
         )
-    return _decide(ring, gens, basis, LEAF_BUDGET)
+    return _decide(ring, gens, basis)
 
 
 def _decide(
     ring: PolyRing,
     gens: list[MultiPoly],
     basis: list[MultiPoly] | None,
-    budget: int,
 ) -> GermInvariants:
     """The germ decision tree on nonzero generators and their reduced basis.
 
@@ -626,7 +624,7 @@ def _decide(
         smooth = pure_linear_power(gens[0]) is not None
         dimension, method = (n - 1 if smooth else None), "principal"
     else:
-        leaves = _leaf_decomposition(ring, basis, budget) or []
+        leaves = _leaf_decomposition(ring, basis, LEAF_BUDGET) or []
         # the leaves have distinct keys, so the maximal ones are distinct too
         maximal = [
             leaf

@@ -3,9 +3,10 @@
 The benchmark's tracer wraps functions it looks up by name, and its worker
 probes the axiom gate with a hand-broken DGLA; a traced reduced basis must
 enter the ``groebner_basis`` span, where the benchmark reads the Buchberger
-time.  These tests read those files without changing them, so a rename,
-deletion or moved call in ``kuranishi`` that would break a traced run or the
-probe fails here first.
+time, and each deformation problem one ``hodge_decomposition`` span, where
+it reads the Hodge split.  These tests read those files without changing
+them, so a rename, deletion or moved call in ``kuranishi`` that would break
+a traced run or the probe fails here first.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ def test_traced_names_resolve_to_callables(module: str, name: str) -> None:
     assert callable(target), f"perfbench traces kuranishi.{module}.{name}"
 
 
-def test_traced_reduced_basis_enters_groebner_basis(monkeypatch) -> None:
-    """The Buchberger loop runs inside the traced ``groebner_basis`` span."""
+def _installed_tracer(monkeypatch):
+    """The benchmark's tracer, installed until the end of the test."""
     import kuranishi.report  # noqa: F401  (loads every traced module)
 
     # restore, after the test, every name the tracer's install replaces
@@ -56,6 +57,12 @@ def test_traced_reduced_basis_enters_groebner_basis(monkeypatch) -> None:
                     monkeypatch.setattr(module, name, getattr(module, name))
     tracer = _load("tracer").Tracer()
     tracer.install()
+    return tracer
+
+
+def test_traced_reduced_basis_enters_groebner_basis(monkeypatch) -> None:
+    """The Buchberger loop runs inside the traced ``groebner_basis`` span."""
+    tracer = _installed_tracer(monkeypatch)
     ring = PolyRing(["x", "y", "z"])
     x, y, z = (ring.var(v) for v in ring.variables)
     groebner = importlib.import_module("kuranishi.groebner")
@@ -63,6 +70,19 @@ def test_traced_reduced_basis_enters_groebner_basis(monkeypatch) -> None:
     spans = tracer.summary()["spans"]
     assert spans["groebner.reduced_groebner_basis"]["calls"] == 1
     assert spans["groebner.groebner_basis"]["calls"] == 1
+
+
+def test_traced_hodge_split_runs_once_per_problem(monkeypatch) -> None:
+    """Each of the three deformation problems enters one Hodge-split span.
+
+    The per-layer metric ``dgla.hodge_decomposition.self_s`` reads the split
+    from that span, so the split must stay inside the traced function.
+    """
+    tracer = _installed_tracer(monkeypatch)
+    analysis = importlib.import_module("kuranishi.analysis")
+    analysis.analyze_structure(example1_structure(), rank=1)
+    spans = tracer.summary()["spans"]
+    assert spans["dgla.hodge_decomposition"]["calls"] == 3
 
 
 def test_gate_probe_rejects_broken_antisymmetry() -> None:

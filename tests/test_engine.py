@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuranishi import engine
 from kuranishi.analysis import analyze_structure, describe_vector
 from kuranishi.builders import build_pair_dgla
 from kuranishi.dgla import Dgla, validate_dgla
@@ -466,10 +467,11 @@ def test_germ_quadric_split_branches():
     assert (germ.smooth, germ.method) == (False, "leaf-union")
 
 
-def test_germ_budget_exhaustion_is_honest():
+def test_germ_budget_exhaustion_is_honest(monkeypatch):
+    monkeypatch.setattr(engine, "LEAF_BUDGET", 1)
     ring = ring3()
     gens = [p(ring, [(1, (1, 1, 0))]), p(ring, [(1, (1, 0, 1))])]
-    germ = germ_invariants(ring, gens, budget=1)
+    germ = germ_invariants(ring, gens)
     assert germ.smooth is None
     assert germ.method == "unknown"
 

@@ -11,6 +11,9 @@ structure with the rows of their holomorphic coframe mixed by one fixed
 invertible matrix, which keeps the complex structure and makes every frame
 coefficient dense.
 
+The ``--pivot-rule latest`` analyses of the catalog at rank 1 and of
+example1 at rank 2 are pinned from the command line's output.
+
 The ``kuranishi validate --format json`` reports are pinned the same way:
 they come straight from the builder, its gates and its error messages.
 """
@@ -50,6 +53,30 @@ def test_catalog_report_bytes_are_pinned(name: str, rank: int) -> None:
     config = load_config({"catalog": name, "bundleRank": rank})
     text = render_json(build_report(config, run_analysis(config)))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[(name, rank)]
+
+
+# SHA-256 of what ``kuranishi analyze --catalog NAME --rank R --pivot-rule
+# latest --format json`` prints.  The ``latest`` rule picks other coexact
+# complements, so it runs the Hodge split and the series through other
+# homotopies than the default rule does.
+LATEST_GOLDEN_SHA256 = {
+    ("example1", 1): "60b00670b71815f327cd96dc85394d3810b677d971f0703505707e0cbd6b9e66",
+    ("example2", 1): "9ebb34c7c457a62e25b94d94083ab033769a472bba27789a4e4889155a1174ae",
+    ("iwasawa", 1): "972a24fb06bb79521a01846457c1fb3254d40868b9590509f6337470c388f9e6",
+    ("torus", 1): "bba44efd15d4e90834d7c1bae420c03eb07d05dce941b867c36ed5900b272956",
+    ("n3", 1): "302724da2f9b6bac2b282a202efc48302bb271c47f2984827002ff670aa445a9",
+    ("n8", 1): "1610674fc8bb57d4c374583c1d2cda30e6447e2b39b8e51f5092951b704a34fc",
+    ("n9", 1): "8074705700754129d9b763c2845759b42a4c93cfba85d36d9ac38764f52a49f3",
+    ("example1", 2): "91522401c46f626746ed68ccf05e2bbea36fc1a7eee7dd91a077216689dea299",
+}
+
+
+@pytest.mark.parametrize(("name", "rank"), sorted(LATEST_GOLDEN_SHA256))
+def test_latest_pivot_rule_report_bytes_are_pinned(name: str, rank: int, capsys) -> None:
+    args = ["--catalog", name, "--rank", str(rank), "--pivot-rule", "latest"]
+    assert main(["analyze", *args, "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == LATEST_GOLDEN_SHA256[name, rank]
 
 
 # Standard coframe (x1 - i x2, x3 - i x4, x5 - i x6) and the mixing matrix
