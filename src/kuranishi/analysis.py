@@ -5,16 +5,17 @@ it builds the joint complex of the structure and the trivial bundle of a
 chosen rank, with the deformation and endomorphism complexes as its two
 blocks, runs the series and obstruction analysis on each of the three,
 decides smoothness of the three germs, and issues the splitting verdict.
-It also carries two side checks that only depend on the structure itself:
-the abelian-preservation locus of the linear deformation term, and
-nilpotency-degree bounds on the certified obstruction generators.
+It also carries two side checks: the abelian-preservation locus of the
+linear deformation term, read off the coupling bracket of the joint DGLA,
+and nilpotency-degree bounds on the certified obstruction generators.
+It uses only the public names of the modules it wires together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .builders import PairDgla, _contraction_coefficients, build_pair_dgla
+from .builders import PairDgla, build_pair_dgla
 from .dgla import Dgla
 from .engine import (
     GermInvariants,
@@ -28,9 +29,8 @@ from .engine import (
     product_of_germs,
 )
 from .groebner import normal_form, reduced_groebner_basis
-from .lie import ComplexStructure, _normalize_word
+from .lie import ComplexStructure
 from .poly import MultiPoly
-from .scalars import GaussianRational
 
 __all__ = [
     "AbelianPreservationCheck",
@@ -135,6 +135,7 @@ class StructureAnalysis:
 
 def abelian_preservation_check(
     structure: ComplexStructure,
+    pair: PairDgla,
     problem: KuranishiProblem,
     series: dict[int, list[MultiPoly]] | None = None,
 ) -> AbelianPreservationCheck:
@@ -144,6 +145,14 @@ def abelian_preservation_check(
     d-twisted contraction of the linear term into each coframe form is a
     two-form-valued expression linear in the parameters; its coefficients,
     echelonized, cut out the preservation locus.
+
+    That contraction is the coupling bracket of the pair DGLA: for
+    ``a^i*W_x`` in the deformation block and ``a^j*E_uv`` in the
+    endomorphism block, the bracket is ``a^i ^ (i_{W_x} d a^j)^{(0,1)}``
+    valued in ``E_uv``.  So the equations are the degree-two coefficients
+    of the degree-one coupling brackets, deformation side first, weighted by
+    the harmonic representatives of ``problem``.  Each equation repeats once
+    per ``E_uv``, which leaves the ideal and its reduced basis unchanged.
     """
     if not structure.is_abelian():
         return AbelianPreservationCheck(
@@ -153,28 +162,19 @@ def abelian_preservation_check(
             series_collapses_on_locus=None,
         )
     ring = problem.ring
-    m = structure.m
-    lam = _contraction_coefficients(structure)
-    accumulated: dict[tuple[int, tuple[int, ...]], MultiPoly] = {}
-    for name, rep in zip(problem.parameters, problem.harmonic_reps):
-        variable = ring.var(name)
-        for position, gamma in enumerate(rep):
-            if gamma.is_zero():
+    split = pair.deformation.dim(1)
+    accumulated: dict[tuple[int, int], MultiPoly] = {}
+    for ((i, a), (j, b)), entry in pair.coupling_entries().items():
+        if (i, j) != (1, 1) or a >= split:
+            continue
+        for name, rep in zip(problem.parameters, problem.harmonic_reps):
+            if rep[a].is_zero():
                 continue
-            word = (position // m,)
-            vector = position % m
-            for j in range(m):
-                for b, coeff in lam[vector][j].items():
-                    normalized = _normalize_word(word + (b,))
-                    if normalized is None:
-                        continue
-                    target, sign = normalized
-                    scale = gamma * coeff * GaussianRational(sign)
-                    if scale.is_zero():
-                        continue
-                    key = (j, target)
-                    current = accumulated.get(key, ring.zero())
-                    accumulated[key] = current + variable.scale(scale)
+            variable = ring.var(name)
+            for c, coeff in entry.items():
+                key = (b, c)
+                current = accumulated.get(key, ring.zero())
+                accumulated[key] = current + variable.scale(rep[a] * coeff)
     raw = [p for p in accumulated.values() if not p.is_zero()]
     constraints = reduced_groebner_basis(raw)
     collapses: bool | None = None
@@ -303,7 +303,7 @@ def analyze_structure(
         )
     classification = structure.classify()
     abelian = abelian_preservation_check(
-        structure, d_problem, deformation.series.series
+        structure, pair, d_problem, deformation.series.series
     )
     bounds = _degree_bounds(
         classification,

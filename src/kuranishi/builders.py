@@ -9,6 +9,13 @@ forms, bracket the values (the holomorphic part of the frame bracket on W,
 the commutator on gl_r), and let each W value act on the other form by
 contracting its holomorphic leg into that form's differential.
 
+This module owns the calculus of those forms: the wedge sort of leg words,
+and the two derivations read off the frame structure constants of
+:class:`kuranishi.lie.ComplexStructure`, the (0,2)-part of the exterior
+differential (the form part of the DGLA differential) and the holomorphic
+contractions (the W action in the bracket).  Both are leg tables extended
+over a word slot by slot.
+
 The two blocks are read off the joint DGLA.  The W-valued forms, in the
 leading positions of every degree, make the *deformation* DGLA of the
 complex structure; the gl_r-valued forms, in the trailing positions, make
@@ -22,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .dgla import BracketTable, Dgla, DglaAxiomError, validate_dgla
-from .lie import ComplexStructure, _normalize_word, ce_differential
+from .lie import ComplexStructure
 from .linalg import ExactMatrix
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -54,45 +61,76 @@ def _form_label(word: tuple[int, ...], value_label: str) -> str:
     return f"{forms}*{value_label}"
 
 
-def _contraction_coefficients(
-    structure: ComplexStructure,
-) -> list[list[dict[int, GaussianRational]]]:
-    """Slot-replacement coefficients of the holomorphic contractions.
+def _normalize_word(seq: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
+    """Sort a wedge word; return (sorted word, sign) or None when repeated."""
+    if len(set(seq)) < len(seq):
+        return None
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+    return tuple(sorted(seq)), -1 if inversions % 2 else 1
 
-    ``lam[a][j]`` maps ``b`` to the coefficient of ``a^b`` in the (0,1)-part
-    of the contraction of ``W_{a+1}`` into the differential of ``a^{j+1}``.
+
+#: ``table[j]`` maps a sorted leg word to its coefficient in the image of
+#: the leg ``a^{j+1}`` under a derivation of the conjugate coframe forms.
+LegTable = list[dict[tuple[int, ...], GaussianRational]]
+
+
+def _contraction_coefficients(structure: ComplexStructure) -> list[LegTable]:
+    """Leg tables of the holomorphic contractions.
+
+    ``lam[a][j]`` maps ``(b,)`` to the coefficient of ``a^b`` in the
+    (0,1)-part of the contraction of ``W_{a+1}`` into the differential of
+    ``a^{j+1}``.
     """
     m = structure.m
-    lam: list[list[dict[int, GaussianRational]]] = [
-        [{} for _ in range(m)] for _ in range(m)
-    ]
+    lam: list[LegTable] = [[{} for _ in range(m)] for _ in range(m)]
     for a in range(m):
         for b in range(m):
             coords = structure.frame_bracket(a, m + b)
             for j in range(m):
                 c = -coords[m + j]
                 if not c.is_zero():
-                    lam[a][j][b] = c
+                    lam[a][j][(b,)] = c
     return lam
 
 
+def _dbar_coefficients(structure: ComplexStructure) -> LegTable:
+    """Leg table of the (0,2)-part of the exterior differential.
+
+    From ``(d a)(x, y) = -a([x, y])``, ``dbar[j]`` maps ``(a, b)``, ``a < b``,
+    to the coefficient ``-Gamma^{m+j}_{m+a, m+b}`` of ``a^{a+1} ^ a^{b+1}``
+    in ``d a^{j+1}``, where Gamma are the doubled-frame structure constants.
+    """
+    m = structure.m
+    dbar: LegTable = [{} for _ in range(m)]
+    for a, b in combinations(range(m), 2):
+        coords = structure.frame_bracket(m + a, m + b)
+        for j in range(m):
+            if not coords[m + j].is_zero():
+                dbar[j][(a, b)] = -coords[m + j]
+    return dbar
+
+
 def _replace_slots(
-    word: tuple[int, ...], lam_a: list[dict[int, GaussianRational]]
+    word: tuple[int, ...], table: LegTable
 ) -> list[tuple[tuple[int, ...], int, GaussianRational]]:
-    """Extend a coefficient table slot-by-slot over a sorted wedge word.
+    """Extend a leg table slot-by-slot over a sorted wedge word.
 
     Returns ``(new_word, sign, coeff)`` triples: one for every way of
-    replacing a single leg ``a^j`` of ``word`` by a leg ``a^b`` carrying
-    ``lam_a[j][b]``, with the resorting parity in ``sign``.
+    replacing a single leg ``a^j`` of ``word`` in place by a word carrying
+    ``table[j][...]``.  ``sign`` holds the resorting parity and, for a
+    replacement of ``k`` legs, the derivation sign ``(-1)^(slot (k - 1))``:
+    none for a contraction, ``(-1)^slot`` for the differential.
     """
     out: list[tuple[tuple[int, ...], int, GaussianRational]] = []
     for r, j in enumerate(word):
-        for b, coeff in lam_a[j].items():
-            replaced = word[:r] + (b,) + word[r + 1 :]
+        for legs, coeff in table[j].items():
+            replaced = word[:r] + legs + word[r + 1 :]
             normalized = _normalize_word(replaced)
             if normalized is None:
                 continue
             new_word, sign = normalized
+            if r * (len(legs) - 1) % 2:
+                sign = -sign
             out.append((new_word, sign, coeff))
     return out
 
@@ -302,16 +340,12 @@ def build_pair_dgla(
                     if entry:
                         entries[((p, ia), (q, jb))] = entry
 
+    dbar = _dbar_coefficients(structure)
     differentials: dict[int, ExactMatrix] = {}
     for q in range(m):
-        form_d = ce_differential(structure, 0, q)[(0, q + 1)]
         form_image = {
-            word: [
-                (words[q + 1][ri], v)
-                for ri, v in enumerate(form_d.column(ci))
-                if not v.is_zero()
-            ]
-            for ci, word in enumerate(words[q])
+            word: [(w, c * s) for w, s, c in _replace_slots(word, dbar)]
+            for word in words[q]
         }
         targets = position[q + 1]
         rows = [[ZERO] * len(elements[q]) for _ in elements[q + 1]]

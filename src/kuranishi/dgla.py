@@ -39,6 +39,7 @@ from .linalg import (
     inverse,
     kernel_basis,
     pivot_columns,
+    rref,
 )
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -168,11 +169,6 @@ class Dgla:
 
     def basis_keys(self) -> list[BasisKey]:
         return [(i, a) for i in self.degrees() for a in range(self.dim(i))]
-
-    def basis_vector(self, degree: int, position: int) -> list[GaussianRational]:
-        vec = [ZERO] * self.dim(degree)
-        vec[position] = ONE
-        return vec
 
     def differential_matrix(self, degree: int) -> ExactMatrix:
         matrix = self.differentials.get(degree)
@@ -423,10 +419,11 @@ def hodge_decomposition(dgla: Dgla, pivot_rule: str = "earliest") -> dict[int, H
     complements (see :func:`kuranishi.linalg.pivot_columns`).  Harmonic
     representatives are independent of the rule; the homotopy is not.
 
-    The degrees are visited once, in increasing order.  The pivot columns
-    of ``d_i`` index the coexact part of ``L^i`` and are carried to degree
-    ``i + 1`` as its image pivots (none when that degree is zero).  The
-    homotopy places the image-coordinate rows of the inverse change of
+    The degrees are visited once, in increasing order, and each ``d_i`` is
+    eliminated once: its echelon form gives both its kernel and its pivot
+    columns.  Those pivots index the coexact part of ``L^i`` and are carried
+    to degree ``i + 1`` as its image pivots (none when that degree is
+    zero).  The homotopy places the image-coordinate rows of the inverse change of
     basis at those pivot rows of ``L^{i-1}``, zero elsewhere.
     """
     result: dict[int, HodgeDegree] = {}
@@ -435,14 +432,15 @@ def hodge_decomposition(dgla: Dgla, pivot_rule: str = "earliest") -> dict[int, H
     for i in dgla.degrees():
         n = dgla.dim(i)
         outgoing = dgla.differential_matrix(i)
-        here_pivots = pivot_columns(outgoing, pivot_rule)
+        echelon = rref(outgoing)
+        here_pivots = pivot_columns(*echelon, pivot_rule)
         image_vectors = [incoming.column(p) for p in below_pivots]
         coexact_vectors: list[Vector] = []
         for p in here_pivots:
             unit = [ZERO] * n
             unit[p] = ONE
             coexact_vectors.append(tuple(unit))
-        kernel = kernel_basis(outgoing)
+        kernel = kernel_basis(*echelon)
         harmonic = _harmonic_representatives(kernel, image_vectors, n)
         h = len(harmonic)
         if h != len(kernel) - len(image_vectors):

@@ -269,12 +269,8 @@ def _rational_certificate(
                 return None
 
     x1 = problem.linear_term
-    # forcing term: -1/2 homotopy of the linear self-bracket, in span coords
-    self_bracket = dgla.bracket_vectors(1, x1, 1, x1, zero=zero)
-    forcing_vec = [
-        p.scale(MINUS_HALF)
-        for p in problem.homotopy(2).apply(self_bracket, zero)
-    ]
+    # forcing term: the series' degree-two term, -1/2 homotopy of [x1, x1]
+    forcing_vec = series[2]
     if not span.contains(forcing_vec):
         return None
     if width == 0:
@@ -318,6 +314,7 @@ def _rational_certificate(
 
     # clear denominators: q^2 * selfbracket(x1 + tail/q)
     q2 = q * q
+    self_bracket = dgla.bracket_vectors(1, x1, 1, x1, zero=zero)
     br_1n = dgla.bracket_vectors(1, x1, 1, tail_num, zero=zero)
     br_nn = dgla.bracket_vectors(1, tail_num, 1, tail_num, zero=zero)
     cleared = [

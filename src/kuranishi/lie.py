@@ -1,4 +1,4 @@
-"""Nilpotent Lie algebras, invariant complex structures, and exterior calculus.
+"""Nilpotent Lie algebras and their invariant complex structures.
 
 A :class:`LieAlgebra` stores exact structure constants on a fixed basis.
 Compact descriptions use the classical shorthand in which position ``k`` of a
@@ -11,8 +11,9 @@ so a token ``"12"`` in slot 3 means ``d e^3 = e^1 ^ e^2``, i.e. the bracket
 
 A :class:`ComplexStructure` is a choice of (1,0)-frame ``W_1..W_m`` inside the
 complexified algebra.  It provides the classification predicates (integrable,
-abelian, parallelizable), the frame-basis structure constants, and the
-Chevalley-Eilenberg differential on (p,q)-forms split by target bidegree.
+abelian, parallelizable) and the frame-basis structure constants; the
+calculus of (0,q)-forms built on those constants lives in
+:mod:`kuranishi.builders`.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ __all__ = [
     "ComplexStructure",
     "JacobiError",
     "parse_salamon",
-    "form_basis",
-    "ce_differential",
 ]
 
 Vector = tuple[GaussianRational, ...]
@@ -314,7 +313,7 @@ class ComplexStructure:
             raise ValueError("J^2 must be -identity")
         i_unit = GaussianRational(0, 1)
         shifted = j - ExactMatrix.identity(n).scale(i_unit)
-        frame = kernel_basis(shifted)
+        frame = kernel_basis(*rref(shifted))
         if len(frame) != n // 2:
             raise ValueError("the +i eigenspace has the wrong dimension")
         return cls(algebra, frame)
@@ -411,98 +410,3 @@ class ComplexStructure:
         inverse(q)  # raises if singular
         new_frame = (self.frame_matrix @ q).columns()
         return ComplexStructure(self.algebra, [list(v) for v in new_frame])
-
-
-# -- exterior algebra of the doubled frame --------------------------------------------
-
-
-def form_basis(m: int, p: int, q: int) -> list[tuple[int, ...]]:
-    """Basis words of (p,q)-forms: ascending doubled-frame index tuples.
-
-    A word lists the 1-form legs; indices < m are holomorphic legs, indices
-    >= m are conjugate legs.  Ordering is lexicographic in (holomorphic part,
-    conjugate part), matching ``itertools.combinations``.
-    """
-    from itertools import combinations
-
-    words = []
-    for hol in combinations(range(m), p):
-        for anti in combinations(range(m, 2 * m), q):
-            words.append(hol + anti)
-    return words
-
-
-def _normalize_word(seq: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
-    """Sort a wedge word; return (sorted word, sign) or None when repeated."""
-    items = list(seq)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            return None
-    return tuple(items), sign
-
-
-def _coframe_differentials(structure: ComplexStructure) -> list[list[tuple[int, int, GaussianRational]]]:
-    """d v^gamma as lists of (alpha, beta, coeff) with alpha < beta.
-
-    From (d a)(x, y) = -a([x, y]):  d v^gamma = - sum_{alpha<beta}
-    Gamma^gamma_{alpha beta} v^alpha ^ v^beta.
-    """
-    out: list[list[tuple[int, int, GaussianRational]]] = [
-        [] for _ in range(2 * structure.m)
-    ]
-    for (alpha, beta), coords in structure.frame_constants().items():
-        for gamma, coeff in enumerate(coords):
-            if not coeff.is_zero():
-                out[gamma].append((alpha, beta, -coeff))
-    return out
-
-
-def ce_differential(
-    structure: ComplexStructure, p: int, q: int
-) -> dict[tuple[int, int], ExactMatrix]:
-    """The exterior differential on (p,q)-forms, split by target bidegree.
-
-    Returns matrices indexed by target bidegree, acting on coordinate columns
-    over :func:`form_basis`.  Possible targets are (p+2, q-1), (p+1, q) and
-    (p, q+1), intersected with the valid range; missing components are zero
-    matrices.
-    """
-    m = structure.m
-    source = form_basis(m, p, q)
-    diffs = _coframe_differentials(structure)
-    targets = {}
-    for tp, tq in ((p + 2, q - 1), (p + 1, q), (p, q + 1)):
-        if 0 <= tp <= m and 0 <= tq <= m:
-            basis = form_basis(m, tp, tq)
-            targets[(tp, tq)] = (basis, {w: i for i, w in enumerate(basis)}, [
-                [ZERO] * len(source) for _ in range(len(basis))
-            ])
-    for col, word in enumerate(source):
-        for slot, leg in enumerate(word):
-            slot_sign = -1 if slot % 2 else 1
-            rest = word[:slot] + word[slot + 1 :]
-            for alpha, beta, coeff in diffs[leg]:
-                normalized = _normalize_word((alpha, beta) + rest)
-                if normalized is None:
-                    continue
-                new_word, perm_sign = normalized
-                tp = sum(1 for x in new_word if x < m)
-                tq = len(new_word) - tp
-                bucket = targets.get((tp, tq))
-                if bucket is None:
-                    continue
-                _, index, rows = bucket
-                row = index[new_word]
-                value = coeff * (slot_sign * perm_sign)
-                rows[row][col] = rows[row][col] + value
-    return {
-        key: ExactMatrix(rows, ncols=len(source))
-        for key, (basis, _, rows) in targets.items()
-    }

@@ -11,11 +11,13 @@ All decisions that depend on basis choices are made deterministic:
 
 * ``rref`` inserts the rows of a matrix into an ``EchelonBasis`` and pads
   the zero rows at the bottom.
-* ``kernel_basis`` emits one vector per free column, in increasing column
-  order, with entry 1 at the free position.
-* ``pivot_columns`` supports an ``earliest`` rule (standard rref pivots) and a
-  ``latest`` rule (pivots of the column-reversed matrix mapped back), so a
-  caller can pick coordinate complements under either convention.
+* ``kernel_basis`` and ``pivot_columns`` read the ``(reduced, pivots)`` that
+  ``rref`` returns, so one elimination serves both.  ``kernel_basis`` emits
+  one vector per free column, in increasing column order, with entry 1 at
+  the free position.  ``pivot_columns`` supports an ``earliest`` rule (the
+  rref pivots) and a ``latest`` rule (pivots of the column-reversed echelon
+  rows mapped back), so a caller can pick coordinate complements under
+  either convention.
 
 ``ExactMatrix.apply`` is the one matrix-vector product; its vector entries
 may be scalars or polynomials.
@@ -267,37 +269,42 @@ def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     return ExactMatrix(basis.rows + zeros, ncols=matrix.ncols), tuple(basis.pivots)
 
 
-def pivot_columns(matrix: ExactMatrix, rule: str = "earliest") -> tuple[int, ...]:
+def pivot_columns(
+    reduced: ExactMatrix, pivots: Sequence[int], rule: str = "earliest"
+) -> tuple[int, ...]:
     """Column indices that index an injective coordinate complement of the kernel.
 
-    ``earliest`` takes the standard rref pivots.  ``latest`` processes columns
-    right to left (rref of the column-reversed matrix) and maps the pivots
-    back, preferring the highest-index columns.  Both return sorted indices.
+    Takes the ``(reduced, pivots)`` that :func:`rref` returns for the matrix.
+    ``earliest`` keeps those pivots.  ``latest`` processes columns right to
+    left (the pivots of the column-reversed nonzero rows, which span the
+    matrix's row space) and maps them back, preferring the highest-index
+    columns.  Both return sorted indices.
     """
     if rule == "earliest":
-        return rref(matrix)[1]
+        return tuple(pivots)
     if rule == "latest":
         reversed_cols = ExactMatrix(
-            [list(reversed(row)) for row in matrix.rows], ncols=matrix.ncols
+            [list(reversed(row)) for row in reduced.rows[: len(pivots)]],
+            ncols=reduced.ncols,
         )
         _, piv = rref(reversed_cols)
-        return tuple(sorted(matrix.ncols - 1 - p for p in piv))
+        return tuple(sorted(reduced.ncols - 1 - p for p in piv))
     raise ValueError(f"unknown pivot rule {rule!r}")
 
 
-def kernel_basis(matrix: ExactMatrix) -> list[Vector]:
+def kernel_basis(reduced: ExactMatrix, pivots: Sequence[int]) -> list[Vector]:
     """Deterministic basis of the right kernel.
 
+    Takes the ``(reduced, pivots)`` that :func:`rref` returns for the matrix.
     One vector per free column, emitted in increasing free-column order; each
     has entry 1 at its free column and the solved pivot entries elsewhere.
     """
-    reduced, pivots = rref(matrix)
     pivot_set = set(pivots)
     basis: list[Vector] = []
-    for free in range(matrix.ncols):
+    for free in range(reduced.ncols):
         if free in pivot_set:
             continue
-        vec = [ZERO] * matrix.ncols
+        vec = [ZERO] * reduced.ncols
         vec[free] = ONE
         for row_idx, pcol in enumerate(pivots):
             vec[pcol] = -reduced.rows[row_idx][free]

@@ -4,8 +4,12 @@ This module keeps, verbatim, the builders that ``kuranishi.builders``
 replaced: the deformation and endomorphism DGLAs built separately, glued by
 a direct sum, with the coupling bracket and the curvature term added on top
 of the glued table.  ``_block_diagonal`` and ``direct_sum`` are copied from
-the ``dgla`` module of the same time.  Only the imports are rewritten to
-absolute ones.  The test suite compares the one-rule builder with it.
+the ``dgla`` module of the same time, and ``form_basis``,
+``_normalize_word``, ``_coframe_differentials`` and ``ce_differential``
+(the Chevalley-Eilenberg differential on every bidegree) from the ``lie``
+module of the time the builder took over the (0,q)-part of it.  Only the
+imports are rewritten to absolute ones.  The test suite compares the
+one-rule builder with it.
 
 Frozen at creation; do not edit when changing the builder.
 """
@@ -14,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from kuranishi.dgla import BasisKey, BracketTable, Dgla, DglaAxiomError, validate_dgla
-from kuranishi.lie import ComplexStructure, _normalize_word, ce_differential
+from kuranishi.lie import ComplexStructure
 from kuranishi.linalg import ExactMatrix
 from kuranishi.scalars import GaussianRational, ONE, ZERO
 
@@ -27,6 +31,104 @@ __all__ = [
     "build_endomorphism_dgla",
     "build_pair_dgla",
 ]
+
+
+# -- copied from the ``lie`` module of the same time ---------------------------
+
+
+def form_basis(m: int, p: int, q: int) -> list[tuple[int, ...]]:
+    """Basis words of (p,q)-forms: ascending doubled-frame index tuples.
+
+    A word lists the 1-form legs; indices < m are holomorphic legs, indices
+    >= m are conjugate legs.  Ordering is lexicographic in (holomorphic part,
+    conjugate part), matching ``itertools.combinations``.
+    """
+    from itertools import combinations
+
+    words = []
+    for hol in combinations(range(m), p):
+        for anti in combinations(range(m, 2 * m), q):
+            words.append(hol + anti)
+    return words
+
+
+def _normalize_word(seq: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
+    """Sort a wedge word; return (sorted word, sign) or None when repeated."""
+    items = list(seq)
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j - 1] > items[j]:
+            items[j - 1], items[j] = items[j], items[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(items, items[1:]):
+        if a == b:
+            return None
+    return tuple(items), sign
+
+
+def _coframe_differentials(structure: ComplexStructure) -> list[list[tuple[int, int, GaussianRational]]]:
+    """d v^gamma as lists of (alpha, beta, coeff) with alpha < beta.
+
+    From (d a)(x, y) = -a([x, y]):  d v^gamma = - sum_{alpha<beta}
+    Gamma^gamma_{alpha beta} v^alpha ^ v^beta.
+    """
+    out: list[list[tuple[int, int, GaussianRational]]] = [
+        [] for _ in range(2 * structure.m)
+    ]
+    for (alpha, beta), coords in structure.frame_constants().items():
+        for gamma, coeff in enumerate(coords):
+            if not coeff.is_zero():
+                out[gamma].append((alpha, beta, -coeff))
+    return out
+
+
+def ce_differential(
+    structure: ComplexStructure, p: int, q: int
+) -> dict[tuple[int, int], ExactMatrix]:
+    """The exterior differential on (p,q)-forms, split by target bidegree.
+
+    Returns matrices indexed by target bidegree, acting on coordinate columns
+    over :func:`form_basis`.  Possible targets are (p+2, q-1), (p+1, q) and
+    (p, q+1), intersected with the valid range; missing components are zero
+    matrices.
+    """
+    m = structure.m
+    source = form_basis(m, p, q)
+    diffs = _coframe_differentials(structure)
+    targets = {}
+    for tp, tq in ((p + 2, q - 1), (p + 1, q), (p, q + 1)):
+        if 0 <= tp <= m and 0 <= tq <= m:
+            basis = form_basis(m, tp, tq)
+            targets[(tp, tq)] = (basis, {w: i for i, w in enumerate(basis)}, [
+                [ZERO] * len(source) for _ in range(len(basis))
+            ])
+    for col, word in enumerate(source):
+        for slot, leg in enumerate(word):
+            slot_sign = -1 if slot % 2 else 1
+            rest = word[:slot] + word[slot + 1 :]
+            for alpha, beta, coeff in diffs[leg]:
+                normalized = _normalize_word((alpha, beta) + rest)
+                if normalized is None:
+                    continue
+                new_word, perm_sign = normalized
+                tp = sum(1 for x in new_word if x < m)
+                tq = len(new_word) - tp
+                bucket = targets.get((tp, tq))
+                if bucket is None:
+                    continue
+                _, index, rows = bucket
+                row = index[new_word]
+                value = coeff * (slot_sign * perm_sign)
+                rows[row][col] = rows[row][col] + value
+    return {
+        key: ExactMatrix(rows, ncols=len(source))
+        for key, (basis, _, rows) in targets.items()
+    }
+
+
+# -- the builders --------------------------------------------------------------
 
 
 def _integrability_gate(structure: ComplexStructure) -> None:

@@ -7,7 +7,9 @@ eliminated once as the outgoing map, once as the incoming map and once more
 for the kernel, the homotopy was a 0/1 selection matrix times the image
 coordinates, and the record carried the harmonic projection.  The one-pass
 split in ``kuranishi.dgla`` replaced it; ``test_hodge_oracle`` compares the
-two.
+two.  ``pivot_columns`` and ``kernel_basis``, which each eliminated their
+matrix afresh, are copied from the ``linalg`` module of the same time, and
+``_unit`` stands for the ``Dgla.basis_vector`` of that time.
 
 Frozen at creation; do not edit when changing the engine.
 """
@@ -23,11 +25,60 @@ from kuranishi.linalg import (
     ExactMatrix,
     Vector,
     inverse,
-    kernel_basis,
-    pivot_columns,
     rref,
 )
 from kuranishi.scalars import ONE, ZERO
+
+
+# -- copied from the ``linalg`` and ``dgla`` modules of the same time ----------
+
+
+def pivot_columns(matrix: ExactMatrix, rule: str = "earliest") -> tuple[int, ...]:
+    """Column indices that index an injective coordinate complement of the kernel.
+
+    ``earliest`` takes the standard rref pivots.  ``latest`` processes columns
+    right to left (rref of the column-reversed matrix) and maps the pivots
+    back, preferring the highest-index columns.  Both return sorted indices.
+    """
+    if rule == "earliest":
+        return rref(matrix)[1]
+    if rule == "latest":
+        reversed_cols = ExactMatrix(
+            [list(reversed(row)) for row in matrix.rows], ncols=matrix.ncols
+        )
+        _, piv = rref(reversed_cols)
+        return tuple(sorted(matrix.ncols - 1 - p for p in piv))
+    raise ValueError(f"unknown pivot rule {rule!r}")
+
+
+def kernel_basis(matrix: ExactMatrix) -> list[Vector]:
+    """Deterministic basis of the right kernel.
+
+    One vector per free column, emitted in increasing free-column order; each
+    has entry 1 at its free column and the solved pivot entries elsewhere.
+    """
+    reduced, pivots = rref(matrix)
+    pivot_set = set(pivots)
+    basis: list[Vector] = []
+    for free in range(matrix.ncols):
+        if free in pivot_set:
+            continue
+        vec = [ZERO] * matrix.ncols
+        vec[free] = ONE
+        for row_idx, pcol in enumerate(pivots):
+            vec[pcol] = -reduced.rows[row_idx][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _unit(n: int, position: int) -> list:
+    # ``Dgla.basis_vector`` of the same time
+    vec = [ZERO] * n
+    vec[position] = ONE
+    return vec
+
+
+# -- the split ------------------------------------------------------------------
 
 
 def cohomology_dimensions(dgla: Dgla) -> dict[int, int]:
@@ -130,7 +181,7 @@ def hodge_decomposition(dgla: Dgla, pivot_rule: str = "earliest") -> dict[int, H
         ) @ coords
         dim_below = dgla.dim(i - 1)
         homotopy = ExactMatrix.from_columns(
-            [list(dgla.basis_vector(i - 1, p)) for p in below_pivots], nrows=dim_below
+            [_unit(dim_below, p) for p in below_pivots], nrows=dim_below
         ) @ image_coords
         result[i] = HodgeDegree(
             degree=i,

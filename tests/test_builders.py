@@ -144,6 +144,25 @@ def test_endomorphism_differential_ignores_matrix_slot() -> None:
         assert sum(1 for v in column if not v.is_zero()) == 1
 
 
+def test_endomorphism_differential_is_dbar_of_the_forms() -> None:
+    # The (0,2)-part of the exterior differential, by hand: the abelian frame
+    # of example1 has none; on the Iwasawa manifold dbar a3 = a1 ^ a2 and
+    # a1, a2 are closed.
+    right = build_pair_dgla(example1_structure(), 1).endomorphism
+    assert 1 not in right.differentials
+    right = build_pair_dgla(iwasawa_structure(), 1).endomorphism
+    d1 = right.differentials[1]
+    image = {
+        right.label(1, col): {
+            right.label(2, row): str(v)
+            for row, v in enumerate(d1.column(col))
+            if not v.is_zero()
+        }
+        for col in range(d1.ncols)
+    }
+    assert image == {"a1*E11": {}, "a2*E11": {}, "a3*E11": {"a1^a2*E11": "1"}}
+
+
 def test_pair_layout_and_coupling() -> None:
     pair = build_pair_dgla(example2_structure(), 1)
     left, right = pair.deformation, pair.endomorphism

@@ -260,11 +260,13 @@ def test_bracket_vectors_with_polynomial_coordinates() -> None:
 def test_degree_zero_bracket_matches_lie_algebra() -> None:
     algebra = LieAlgebra.from_entries(6, [(1, 2, 3, 1), (4, 5, 6, 1)])
     dgla = degree_zero_dgla(algebra)
+    units = [
+        [ONE if k == i else ZERO for k in range(algebra.dim)]
+        for i in range(algebra.dim)
+    ]
     for i in range(algebra.dim):
         for j in range(algebra.dim):
-            via_dgla = dgla.bracket_vectors(
-                0, dgla.basis_vector(0, i), 0, dgla.basis_vector(0, j)
-            )
+            via_dgla = dgla.bracket_vectors(0, units[i], 0, units[j])
             sparse = algebra.bracket_basis(i, j)
             expected = [sparse.get(k, ZERO) for k in range(algebra.dim)]
             assert expected == via_dgla

@@ -82,7 +82,7 @@ def test_harmonic_representatives_match_the_oracle(
     """Image vectors are combinations of kernel vectors, as for a
     differential, or arbitrary vectors of the same length."""
     n = len(outgoing[0])
-    kernel = kernel_basis(ExactMatrix(outgoing))
+    kernel = kernel_basis(*rref(ExactMatrix(outgoing)))
     image = []
     for _ in range(data.draw(st.integers(0, 3))):
         vec = [ZERO] * n

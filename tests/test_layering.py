@@ -1,0 +1,52 @@
+"""Module ownership inside the ``kuranishi`` package.
+
+A ``_``-prefixed name is private to the module that defines it.  No package
+module may import one from another package module: a helper that two
+modules need belongs behind a public name of its owner, or in the one
+module that uses it.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kuranishi"
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
+
+
+def _private_imports(source: str) -> list[str]:
+    """``from MODULE import _name`` for every private name imported from the package."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "kuranishi":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                out.append(f"from {'.' * node.level}{module} import {alias.name}")
+    return out
+
+
+def test_the_check_sees_private_imports() -> None:
+    source = (
+        "from .lie import ComplexStructure, _normalize_word\n"
+        "from kuranishi.builders import _replace_slots\n"
+        "from . import _hidden\n"
+        "from __future__ import annotations\n"
+        "from typing import _SpecialForm\n"
+    )
+    assert _private_imports(source) == [
+        "from .lie import _normalize_word",
+        "from kuranishi.builders import _replace_slots",
+        "from . import _hidden",
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_private_name(name: str) -> None:
+    assert _private_imports((PACKAGE / name).read_text()) == []

@@ -10,12 +10,11 @@ from kuranishi.lie import (
     ComplexStructure,
     JacobiError,
     LieAlgebra,
-    ce_differential,
-    form_basis,
     parse_salamon,
 )
 from kuranishi.linalg import ExactMatrix, rref
 from kuranishi.scalars import GaussianRational
+from oracle_builders import ce_differential, form_basis
 
 G = GaussianRational
 HALF = G("1/2")
@@ -282,6 +281,11 @@ def test_change_frame_preserves_classification() -> None:
 
 
 # -- exterior differential ----------------------------------------------------------
+#
+# The differential on every bidegree lives on in the frozen builder oracle,
+# the reference that ``test_builder_oracle`` compares the builder's (0,q)
+# differential with; these hand-computed values and identities check that
+# reference against the mathematics.
 
 
 def test_form_basis_sizes() -> None:
