@@ -24,7 +24,9 @@ Schema (top-level keys)
 ``bundleRank``
     Positive integer, default 1.
 ``truncationOrder``
-    Optional integer >= 2 overriding the automatic series order.
+    Optional integer >= 2 and below ``poly.DEGREE_LIMIT`` (32768, the
+    largest polynomial degree plus one) overriding the automatic series
+    order.
 ``curvature``
     Optional list of ``[a, b, u, v, c]`` rows (all indices 1-based)
     adding ``c`` to entry ``(u, v)`` of the curvature matrix attached to
@@ -44,6 +46,7 @@ from pathlib import Path
 from .catalog import build_catalog_structure, catalog_entry
 from .lie import ComplexStructure, LieAlgebra, parse_salamon
 from .linalg import ExactMatrix
+from .poly import DEGREE_LIMIT
 from .scalars import GaussianRational
 
 __all__ = [
@@ -266,10 +269,11 @@ def _parse_rank(value: object) -> int:
 def _parse_truncation(value: object) -> int | None:
     if value is None:
         return None
+    # a degree-k series term needs monomials of degree k
     _expect(
-        _is_int(value) and value >= 2,
+        _is_int(value) and 2 <= value < DEGREE_LIMIT,
         "truncationOrder",
-        f"must be an integer >= 2, got {value!r}",
+        f"must be an integer >= 2 and below {DEGREE_LIMIT}, got {value!r}",
     )
     return value  # type: ignore[return-value]
 

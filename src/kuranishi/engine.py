@@ -36,7 +36,6 @@ from .linalg import EchelonBasis, ExactMatrix, Vector, rref
 from .poly import (
     MultiPoly,
     PolyRing,
-    grevlex_key,
     poly_matrix_det,
     pure_linear_power,
     quadric_split,
@@ -297,7 +296,7 @@ def _rational_certificate(
             for i in range(width)
         ]
         q = poly_matrix_det(system)
-        if q.coefficient(tuple([0] * ring.nvars)) != ONE:
+        if q.homogeneous_component(0) != ring.one():
             raise RuntimeError("fixed-point determinant has nonunit constant term")
         numerators = []
         for c in range(width):
@@ -490,10 +489,8 @@ def _is_linear_basis(basis: Sequence[MultiPoly]) -> bool:
 
 def _split_factors(ring: PolyRing, g: MultiPoly) -> list[MultiPoly] | None:
     """Factors to branch on: the variety of g is the union of their zero sets."""
-    terms = g.sorted_terms()
-    if len(terms) == 1:
-        mono, _ = terms[0]
-        return [ring.var(ring.variables[i]) for i, e in enumerate(mono) if e > 0]
+    if len(g.terms) == 1:
+        return [ring.var(ring.variables[i]) for i in g.support_variables()]
     power = pure_linear_power(g)
     if power is not None:
         _, linear, _ = power
@@ -591,7 +588,7 @@ def product_of_germs(
     if left.basis is not None and right.basis is not None:
         basis = sorted(
             (g.embed(ring) for g in left.basis + right.basis),
-            key=lambda g: grevlex_key(g.leading_monomial()),
+            key=lambda g: ring.key(g.leading_monomial()),
         )
     return _decide(ring, gens, basis)
 

@@ -14,28 +14,16 @@ generators kept before it, truncated at its degree, and a kept generator
 joins that basis.  A redundancy test is then one normal form instead of a
 Groebner basis per candidate.
 
-Inside this module a monomial of a ring in ``n`` variables is one packed
-int: with ``W = 16`` bits per field, exponent ``e_i`` sits in field ``i``
-and the degree ``D`` in field ``n``, ``P = D << W*n | sum(e_i << W*i)``.
-The top bit of every field is a guard bit and stays clear, which holds
-while every degree is below ``DEGREE_LIMIT = 2**15``.  Then
+The kernel runs on the packed monomials of ``MultiPoly.terms`` (see
+:mod:`kuranishi.poly`), copied in and out as term dicts: a product is
+``a + b``, divisibility one test on the ring's ``guard`` bits, and
+``PolyRing.key`` and ``PolyRing.lcm`` give the grevlex key and the lcm,
+which raises ``ValueError`` at degree ``DEGREE_LIMIT``.  No other degree
+needs a check: inputs are below the limit, and every other monomial is an
+S-polynomial term, of degree at most its pair's lcm, or a reduction term,
+of degree at most the term it rewrites.
 
-* the product of two monomials is ``a + b``;
-* ``a`` divides ``b`` iff ``((b | G) - a) & G == G``, with ``G`` the guard
-  bits: a field keeps its guard bit exactly when ``b``'s exponent there is
-  at least ``a``'s, and no field borrows from the next;
-* ``((P >> W*n) << (W*n + 1)) - P``, that is ``D << W*n`` minus the
-  exponent fields, is the grevlex key: higher degree first, then the
-  smaller rightmost differing exponent, so int order is grevlex order;
-* the lcm takes each field from the larger operand through a field mask.
-
-Inputs and lcms of degree ``DEGREE_LIMIT`` or more raise ``ValueError``.
-No other degree needs a check: every other monomial is an S-polynomial term,
-of degree at most its pair's lcm, or a reduction term, of degree at most
-the term it rewrites.
-
-Polynomials are packed and unpacked at the ``MultiPoly`` boundary.  Each
-basis keeps one lead table, extended as elements join; a normal form
+Each basis keeps one lead table, extended as elements join; a normal form
 reduces one dict of terms in place, taking its leading term from a heap of
 keys; pending pairs sit in a heap keyed by lcm and then insertion order.
 The kernel takes the choices it took on exponent tuples -- the same pairs
@@ -48,15 +36,13 @@ Everything here is exact; coefficients are Gaussian rationals.
 
 from __future__ import annotations
 
-import struct
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from .poly import MultiPoly, PolyRing, grevlex_key
+from .poly import MultiPoly, PolyRing
 from .scalars import ZERO, GaussianRational
 
 __all__ = [
-    "DEGREE_LIMIT",
     "normal_form",
     "spoly",
     "groebner_basis",
@@ -65,11 +51,7 @@ __all__ = [
     "minimalize_generators",
 ]
 
-W = 16  # bits per packed field
-DEGREE_LIMIT = 1 << (W - 1)  # the top bit of a field is its guard bit
-_FIELD = (1 << W) - 1
-
-#: A packed term ``(monomial, coefficient)``.
+#: A term ``(monomial, coefficient)``.
 Term = tuple[int, GaussianRational]
 
 #: A pending S-pair ``(key(lcm), insertion counter, lcm, i, j)`` of basis
@@ -77,68 +59,19 @@ Term = tuple[int, GaussianRational]
 Pair = tuple[int, int, int, int, int]
 
 
-class _Packing:
-    """Packed monomials of one ring, and the conversion from and to it."""
-
-    __slots__ = ("ring", "shift", "low", "ones", "guard", "top", "fields")
-
-    def __init__(self, ring: PolyRing) -> None:
-        n = ring.nvars
-        self.ring = ring
-        self.shift = W * n  # where the degree field starts
-        self.low = (1 << self.shift) - 1  # the exponent fields
-        self.ones = sum(1 << (W * i) for i in range(n))  # 1 in each exponent field
-        self.guard = (self.ones | 1 << self.shift) << (W - 1)
-        self.top = max(self.shift - W, 0)  # the last exponent field
-        self.fields = struct.Struct(f"<{n}H")
-
-    def pack(self, exps: tuple[int, ...]) -> int:
-        degree = sum(exps)
-        if degree >= DEGREE_LIMIT:
-            raise ValueError(f"monomial degree {degree} is not below the limit {DEGREE_LIMIT}")
-        return int.from_bytes(self.fields.pack(*exps), "little") | degree << self.shift
-
-    def unpack(self, m: int) -> tuple[int, ...]:
-        return self.fields.unpack((m & self.low).to_bytes(self.fields.size, "little"))
-
-    def key(self, m: int) -> int:
-        """The grevlex key: larger keys are larger monomials."""
-        return (m >> self.shift << self.shift + 1) - m
-
-    def lcm(self, a: int, b: int) -> int:
-        guard = self.guard
-        # 1 in the low bit of each field where a's exponent is at least b's
-        larger = ((a | guard) - b & guard) >> (W - 1)
-        mask = larger * _FIELD & self.low
-        m = a & mask | b & (self.low ^ mask)
-        # field n-1 of m * ones sums the exponents; partial sums stay below
-        # 2 * DEGREE_LIMIT, so no field carries into the next
-        degree = m * self.ones >> self.top & _FIELD
-        if degree >= DEGREE_LIMIT:
-            raise ValueError(f"lcm degree {degree} is not below the limit {DEGREE_LIMIT}")
-        return m | degree << self.shift
-
-    def terms(self, p: MultiPoly) -> list[Term]:
-        """The packed terms of a nonzero ``p``, its leading term first."""
-        if p.ring != self.ring:
-            raise ValueError("polynomials from different rings")
-        lead = p.leading_monomial()
-        pack = self.pack
-        rest = [(pack(e), c) for e, c in p.terms.items() if e != lead]
-        return [(pack(lead), p.terms[lead])] + rest
-
-    def poly(self, terms: list[Term]) -> MultiPoly:
-        unpack = self.unpack
-        return MultiPoly(self.ring, {unpack(m): c for m, c in terms})
+def _terms(p: MultiPoly) -> list[Term]:
+    """The terms of a nonzero ``p``, its leading term first."""
+    lead = p.leading_monomial()
+    return [(lead, p.terms[lead])] + [t for t in p.terms.items() if t[0] != lead]
 
 
 class _Basis:
-    """Monic packed basis elements with their lead table and pending pairs."""
+    """Monic basis elements with their lead table and pending pairs."""
 
-    __slots__ = ("packing", "polys", "leads", "tails", "pairs", "made")
+    __slots__ = ("ring", "polys", "leads", "tails", "pairs", "made")
 
-    def __init__(self, packing: _Packing) -> None:
-        self.packing = packing
+    def __init__(self, ring: PolyRing) -> None:
+        self.ring = ring
         self.polys: list[list[Term]] = []  # monic, leading term first
         self.leads: list[int] = []
         self.tails: list[list[Term]] = []
@@ -174,8 +107,8 @@ def _nf(work: dict[int, GaussianRational], basis: _Basis) -> list[Term]:
     Rewriting only adds terms below the one rewritten, so no popped monomial
     comes back.
     """
-    packing = basis.packing
-    shift, wide, guard = packing.shift, packing.shift + 1, packing.guard
+    ring = basis.ring
+    shift, wide, guard = ring.shift, ring.shift + 1, ring.guard
     leads, tails = basis.leads, basis.tails
     # m -> -key(m) maps negated keys back to monomials too
     heap = [m - (m >> shift << wide) for m in work]
@@ -218,10 +151,10 @@ def _monic(terms: list[Term]) -> list[Term]:
 
 def spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """S-polynomial: the leading terms of f and g cancelled against each other."""
-    packing = _Packing(f.ring)
-    pf, pg = _monic(packing.terms(f)), _monic(packing.terms(g))
-    lcm = packing.lcm(pf[0][0], pg[0][0])
-    return packing.poly(list(_spoly(pf, pg, lcm).items()))
+    if f.ring != g.ring:
+        raise ValueError("polynomials from different rings")
+    pf, pg = _monic(_terms(f)), _monic(_terms(g))
+    return MultiPoly(f.ring, _spoly(pf, pg, f.ring.lcm(pf[0][0], pg[0][0])))
 
 
 def normal_form(p: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
@@ -233,21 +166,22 @@ def normal_form(p: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
     """
     if p.is_zero():
         return p
-    packing = _Packing(p.ring)
-    packed = _Basis(packing)
+    reducers = _Basis(p.ring)
     for g in basis:
         if not g.is_zero():
-            packed.append(_monic(packing.terms(g)))
-    return packing.poly(_nf(dict(packing.terms(p)), packed))
+            if g.ring != p.ring:
+                raise ValueError("polynomials from different rings")
+            reducers.append(_monic(_terms(g)))
+    return MultiPoly(p.ring, dict(_nf(dict(p.terms), reducers)))
 
 
 def _update(basis: _Basis, candidate: list[Term]) -> None:
     """Gebauer-Moeller update: append candidate, prune and extend the pair heap."""
-    packing, leads, pairs = basis.packing, basis.leads, basis.pairs
-    guard = packing.guard
+    ring, leads, pairs = basis.ring, basis.leads, basis.pairs
+    guard = ring.guard
     new = candidate[0][0]
     t = len(leads)
-    new_lcms = [packing.lcm(lead, new) for lead in leads]
+    new_lcms = [ring.lcm(lead, new) for lead in leads]
 
     # Chain criterion on old pairs: (i, j) is redundant once the new element
     # divides their lcm strictly finer on both sides.
@@ -271,7 +205,7 @@ def _update(basis: _Basis, candidate: list[Term]) -> None:
     for i, l in enumerate(new_lcms):
         classes.setdefault(l, []).append(i)
     minimal: list[int] = []
-    for key, l in sorted((packing.key(l), l) for l in classes):
+    for key, l in sorted((ring.key(l), l) for l in classes):
         lg = l | guard
         if any(lg - m & guard == guard for m in minimal):
             continue
@@ -292,7 +226,7 @@ def _reduce_pairs(basis: _Basis, max_degree: int | None = None) -> None:
     larger total degree; the remaining pairs stay pending.  For homogeneous
     input the basis is then a Groebner basis up to that degree.
     """
-    pairs, shift = basis.pairs, basis.packing.shift
+    pairs, shift = basis.pairs, basis.ring.shift
     while pairs:
         # normal selection: the first pair of smallest lcm in grevlex, which
         # is degree first
@@ -312,14 +246,13 @@ def groebner_basis(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
     ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise ValueError("generators from different rings")
-    packing = _Packing(ring)
-    basis = _Basis(packing)
+    basis = _Basis(ring)
     for g in gens:
-        nf = _nf(dict(packing.terms(g)), basis)
+        nf = _nf(dict(g.terms), basis)
         if nf:
             _update(basis, _monic(nf))
     _reduce_pairs(basis)
-    return [packing.poly(f) for f in basis.polys]
+    return [MultiPoly(ring, dict(f)) for f in basis.polys]
 
 
 def reduced_groebner_basis(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
@@ -331,20 +264,20 @@ def reduced_groebner_basis(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
     basis = groebner_basis(generators)
     if not basis:
         return []
-    packing = _Packing(basis[0].ring)
-    elements = sorted((packing.terms(g) for g in basis), key=lambda f: packing.key(f[0][0]))
+    ring = basis[0].ring
+    elements = sorted((_terms(g) for g in basis), key=lambda f: ring.key(f[0][0]))
     # minimal: drop any element whose leading monomial another's divides;
     # interreduce in the same ascending pass: every term of an element is at
     # most its leading monomial, so below every later leading monomial, which
     # divides none of them; no earlier one divides the monic leading term
-    minimal = _Basis(packing)
-    guard = packing.guard
+    minimal = _Basis(ring)
+    guard = ring.guard
     for f in elements:
         lg = f[0][0] | guard
         if any(lg - lead & guard == guard for lead in minimal.leads):
             continue
         minimal.append(_nf(dict(f), minimal))
-    return [packing.poly(f) for f in minimal.polys]
+    return [MultiPoly(ring, dict(f)) for f in minimal.polys]
 
 
 def ideal_membership(p: MultiPoly, generators: Sequence[MultiPoly]) -> bool:
@@ -388,13 +321,12 @@ def minimalize_generators(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
             raise ValueError("generators from different rings")
         if not g.is_homogeneous():
             raise ValueError("minimalize_generators expects homogeneous generators")
-    current.sort(key=lambda h: grevlex_key(h.leading_monomial()))
-    packing = _Packing(ring)
-    basis = _Basis(packing)
+    current.sort(key=lambda h: ring.key(h.leading_monomial()))
+    basis = _Basis(ring)
     survivors: list[MultiPoly] = []
     for g in current:
         _reduce_pairs(basis, max_degree=g.total_degree())
-        nf = _nf(dict(packing.terms(g)), basis)
+        nf = _nf(dict(g.terms), basis)
         if nf:
             survivors.append(g)
             _update(basis, _monic(nf))

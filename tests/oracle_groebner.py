@@ -9,12 +9,18 @@ algorithmic choices with the engine:
 * normal forms are computed along *all* reduction paths (any reducible term,
   any applicable divisor), and confluence of the end results is asserted.
 
+Its polynomials are the frozen tuple-monomial ones of ``oracle_poly``.
+When ``kuranishi.poly`` moved to packed int monomials, only that
+import changed here, so the body still computes on exponent tuples;
+tests convert to and from it with ``PolyRing.exponents`` and
+``PolyRing.from_terms``.
+
 Frozen at creation; do not edit when changing the engine.
 """
 
 from __future__ import annotations
 
-from kuranishi.poly import MultiPoly, PolyRing, grevlex_key
+from oracle_poly import MultiPoly, PolyRing, grevlex_key
 from kuranishi.scalars import ZERO
 
 

@@ -13,15 +13,22 @@ Kept verbatim from the code before the change, for differential tests only
   down.
 
 ``_reduce_pairs``, ``groebner_basis`` and the helpers they call are copied
-too, so every pass here calls this module's ``_update``.  Frozen at
-creation; do not edit when changing the engine.
+too, so every pass here calls this module's ``_update``.
+
+Its polynomials are the frozen tuple-monomial ones of ``oracle_poly``.
+When ``kuranishi.poly`` moved to packed int monomials, only that
+import changed here, so the body still computes on exponent tuples;
+tests convert to and from it with ``PolyRing.exponents`` and
+``PolyRing.from_terms``.
+
+Frozen at creation; do not edit when changing the engine.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from kuranishi.poly import MultiPoly, grevlex_key
+from oracle_poly import MultiPoly, grevlex_key
 
 Monomial = tuple[int, ...]
 

@@ -21,6 +21,7 @@ from kuranishi.catalog import (
 )
 from kuranishi.cli import main
 from kuranishi.config import ConfigError, load_config
+from kuranishi.poly import DEGREE_LIMIT
 
 INLINE_TORUS = {
     "lieAlgebra": {"dimension": 6, "constants": []},
@@ -160,6 +161,14 @@ def test_load_config_reports_field_paths(mangle, fragment):
     with pytest.raises(ConfigError) as excinfo:
         load_config(doc)
     assert fragment in str(excinfo.value)
+
+
+def test_load_config_truncation_stays_below_the_degree_limit():
+    config = load_config({"catalog": "torus", "truncationOrder": DEGREE_LIMIT - 1})
+    assert config.truncation == DEGREE_LIMIT - 1
+    for order in (DEGREE_LIMIT, DEGREE_LIMIT + 1, 10**9):
+        with pytest.raises(ConfigError, match=f"truncationOrder: .*below {DEGREE_LIMIT}"):
+            load_config({"catalog": "torus", "truncationOrder": order})
 
 
 def test_load_config_curvature_rows_accumulate():
@@ -411,6 +420,13 @@ def test_cli_analyze_curved_config_is_inconclusive(tmp_path, capsys):
 def test_cli_analyze_without_input_exits_two(capsys):
     assert main(["analyze"]) == 2
     assert "an input is required" in capsys.readouterr().err
+
+
+def test_cli_analyze_truncation_at_the_degree_limit_exits_two(capsys):
+    assert main(["analyze", "--catalog", "torus", "--truncation", str(DEGREE_LIMIT)]) == 2
+    err = capsys.readouterr().err
+    assert f"truncationOrder: must be an integer >= 2 and below {DEGREE_LIMIT}" in err
+    assert "Traceback" not in err
 
 
 def test_cli_analyze_unknown_catalog_exits_two(capsys):

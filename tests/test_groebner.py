@@ -16,10 +16,12 @@ from kuranishi.groebner import (
     reduced_groebner_basis,
     spoly,
 )
-from kuranishi.poly import MultiPoly, PolyRing, grevlex_key
+from kuranishi.poly import MultiPoly, PolyRing
 from kuranishi.scalars import GaussianRational
 
 from oracle_groebner import oracle_membership
+from oracle_poly import grevlex_key
+from tuple_polys import frozen
 
 R = PolyRing(["x", "y", "z"])
 X, Y, Z = R.var("x"), R.var("y"), R.var("z")
@@ -158,7 +160,7 @@ def _disjoint_blocks(draw) -> tuple[list[MultiPoly], list[MultiPoly]]:
 def test_reduced_basis_of_disjoint_blocks_is_the_sorted_union(blocks) -> None:
     left, right = blocks
     union = reduced_groebner_basis(left) + reduced_groebner_basis(right)
-    union.sort(key=lambda g: grevlex_key(g.leading_monomial()))
+    union.sort(key=lambda g: g.ring.key(g.leading_monomial()))
     assert union == reduced_groebner_basis(left + right)
 
 
@@ -180,6 +182,31 @@ def test_minimalize_generators_rejects_non_homogeneous_input() -> None:
         minimalize_generators([X + R.one()])
 
 
+_WIDE = PolyRing([f"t{i}" for i in range(31)])
+
+
+@pytest.mark.parametrize("wide_first", [False, True], ids=["narrow-first", "wide-first"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, q: normal_form(p, [q]),
+        lambda p, q: spoly(p, q),
+        lambda p, q: groebner_basis([p, q]),
+        lambda p, q: reduced_groebner_basis([p, q]),
+        lambda p, q: minimalize_generators([p, q]),
+    ],
+    ids=["normal_form", "spoly", "groebner_basis", "reduced_groebner_basis", "minimalize"],
+)
+def test_polynomials_from_different_rings_raise(call, wide_first: bool) -> None:
+    """A 3-variable and a 31-variable ring lay their monomials out differently,
+    so the ring check is what keeps the two from mixing."""
+    p, q = X * Y, _WIDE.var("t0") * _WIDE.var("t30")
+    if wide_first:
+        p, q = q, p
+    with pytest.raises(ValueError, match="different rings"):
+        call(p, q)
+
+
 # -- differential test against the frozen oracle --------------------------------------
 
 
@@ -195,7 +222,7 @@ def test_membership_agrees_with_frozen_oracle() -> None:
                 candidate = candidate + _random_poly(rng, max_terms=2, max_deg=1) * g
         else:
             candidate = _random_poly(rng, max_terms=2, max_deg=2)
-        expected = oracle_membership(candidate, gens)
+        expected = oracle_membership(frozen(candidate), [frozen(g) for g in gens])
         assert ideal_membership(candidate, gens) == expected
         agree += 1
     assert agree == 25
@@ -209,10 +236,11 @@ def _reference_minimalize(generators: list[MultiPoly]) -> list[MultiPoly]:
     from the largest leading monomial down, drop a generator that lies in the
     ideal of the generators still present."""
     current = [g.monic() for g in generators if not g.is_zero()]
-    current.sort(key=lambda h: grevlex_key(h.leading_monomial()))
+    current.sort(key=lambda h: R.key(h.leading_monomial()))
     idx = len(current) - 1
     while idx >= 0:
-        if oracle_membership(current[idx], current[:idx] + current[idx + 1 :]):
+        others = [frozen(g) for g in current[:idx] + current[idx + 1 :]]
+        if oracle_membership(frozen(current[idx]), others):
             current.pop(idx)
         idx -= 1
     return current
@@ -234,7 +262,7 @@ def _random_form(rng: random.Random, degree: int) -> MultiPoly:
 
 def _same_leading_monomial(rng: random.Random, g: MultiPoly) -> MultiPoly:
     """A new generator whose leading monomial is that of ``g``."""
-    lm = g.leading_monomial()
+    lm = R.exponents(g.leading_monomial())
     smaller = [m for m in _monomials(sum(lm)) if grevlex_key(m) < grevlex_key(lm)]
     h = R.monomial(lm, GaussianRational(rng.choice([1, 2, -1]), rng.randint(-1, 1)))
     if smaller:

@@ -6,7 +6,9 @@ the fixpoint interreduction and the degree-by-degree survivor rule, all on
 exponent tuples.  These tests check that the packed single passes give the
 same pair list after every update, the same normal forms, S-polynomials,
 reduced bases and survivors, down to the order of their terms, on rings of
-1, 3 and 31 variables and with degrees just below the packing limit.
+1, 3 and 31 variables and with degrees just below the packing limit.  The
+frozen code runs on the tuple-monomial polynomials of ``oracle_poly``;
+``tuple_polys.frozen`` carries inputs and results over, term order kept.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 
 import oracle_groebner_passes as oracle
 from kuranishi import groebner
-from kuranishi.groebner import DEGREE_LIMIT
-from kuranishi.poly import MultiPoly, PolyRing, grevlex_key
+from kuranishi.poly import DEGREE_LIMIT, MultiPoly, PolyRing
 from kuranishi.scalars import GaussianRational
+from oracle_poly import grevlex_key
+from tuple_polys import frozen
 
 R = PolyRing(["x", "y", "z"])
 RINGS = [PolyRing([f"t{i}" for i in range(n)]) for n in (1, 3, 31)]
@@ -67,7 +70,7 @@ def _homogeneous_lists(draw) -> list[MultiPoly]:
         if not s.is_zero() and s.total_degree() <= top:
             gens.append(draw(_form(top - s.total_degree())) * s)
     if nonzero and draw(st.booleans()):
-        lm = draw(st.sampled_from(nonzero)).leading_monomial()
+        lm = R.exponents(draw(st.sampled_from(nonzero)).leading_monomial())
         smaller = [m for m in _monomials(sum(lm)) if grevlex_key(m) < grevlex_key(lm)]
         same = R.monomial(lm, draw(st.sampled_from([1, 2, -1])))
         if smaller:
@@ -81,10 +84,10 @@ def _homogeneous_lists(draw) -> list[MultiPoly]:
 def _frozen_pairs(basis) -> list[oracle.Pair]:
     """The pending pairs of a packed basis as the frozen code holds them:
     ``(grevlex_key(lcm), lcm, i, j)`` in insertion order."""
-    unpack = basis.packing.unpack
+    exponents = basis.ring.exponents
     pairs = []
     for _, _, lcm, i, j in sorted(basis.pairs, key=lambda pair: pair[1]):
-        exps = unpack(lcm)
+        exps = exponents(lcm)
         pairs.append((grevlex_key(exps), exps, i, j))
     return pairs
 
@@ -96,22 +99,24 @@ def _frozen_selection(pairs: list[oracle.Pair]) -> list[tuple[int, int]]:
     return [pairs[k][2:] for k in order]
 
 
-def _checked_update(candidates: list[MultiPoly]):
-    """An ``_update`` that also runs the frozen one on unpacked copies and
-    compares the basis, the pair list and the order the heap pops it in."""
+def _checked_update(candidates: list):
+    """An ``_update`` that also runs the frozen one on tuple-monomial copies
+    and compares the basis, the pair list and the order the heap pops it in."""
     update = groebner._update
 
     def checked(basis, candidate):
-        packing = basis.packing
-        old_basis = [packing.poly(f) for f in basis.polys]
+        def unpacked(terms):
+            return frozen(MultiPoly(basis.ring, dict(terms)))
+
+        old_basis = [unpacked(f) for f in basis.polys]
         old_pairs = _frozen_pairs(basis)
-        unpacked = packing.poly(candidate)
-        oracle._update(old_basis, old_pairs, unpacked)
+        old_candidate = unpacked(candidate)
+        oracle._update(old_basis, old_pairs, old_candidate)
         update(basis, candidate)
         assert _frozen_pairs(basis) == old_pairs
         assert [pair[3:] for pair in sorted(basis.pairs)] == _frozen_selection(old_pairs)
-        assert [packing.poly(f) for f in basis.polys] == old_basis
-        candidates.append(unpacked)
+        assert [unpacked(f) for f in basis.polys] == old_basis
+        candidates.append(old_candidate)
 
     return checked
 
@@ -119,7 +124,7 @@ def _checked_update(candidates: list[MultiPoly]):
 @given(st.one_of(_homogeneous_lists(), st.lists(_poly(), min_size=1, max_size=3)))
 @settings(max_examples=120, deadline=None)
 def test_pair_list_after_every_update_matches_frozen_update(gens) -> None:
-    candidates: list[MultiPoly] = []
+    candidates: list = []
     with mock.patch.object(groebner, "_update", _checked_update(candidates)):
         groebner.groebner_basis(gens)
         if all(g.is_homogeneous() for g in gens):
@@ -130,19 +135,23 @@ def test_pair_list_after_every_update_matches_frozen_update(gens) -> None:
 @given(st.one_of(_homogeneous_lists(), st.lists(_poly(), min_size=0, max_size=3)))
 @settings(max_examples=120, deadline=None)
 def test_reduced_basis_matches_fixpoint_interreduction(gens) -> None:
-    assert groebner.reduced_groebner_basis(gens) == oracle.reduced_groebner_basis(gens)
+    new = groebner.reduced_groebner_basis(gens)
+    assert [frozen(g) for g in new] == oracle.reduced_groebner_basis([frozen(g) for g in gens])
 
 
 @given(_homogeneous_lists())
 @settings(max_examples=150, deadline=None)
 def test_survivors_match_degree_by_degree_rule(gens) -> None:
-    assert groebner.minimalize_generators(gens) == oracle.minimalize_generators(gens)
+    new = groebner.minimalize_generators(gens)
+    assert [frozen(g) for g in new] == oracle.minimalize_generators([frozen(g) for g in gens])
 
 
 # -- rings of 1, 3 and 31 variables, degrees up to just below the limit --------
 
 
-def _same_terms(new: list[MultiPoly], old: list[MultiPoly]) -> None:
+def _same_terms(new: list[MultiPoly], old: list) -> None:
+    """The packed results ``new`` equal the frozen ``old``, term order too."""
+    new = [frozen(p) for p in new]
     assert new == old
     assert [list(p.terms) for p in new] == [list(p.terms) for p in old]
 
@@ -189,31 +198,33 @@ def test_normal_form_and_spoly_match_frozen_code(polys, data) -> None:
     if not polys:
         return
     p, basis = polys[0], polys[1:]
-    _same_terms([groebner.normal_form(p, basis)], [oracle.normal_form(p, basis)])
+    old_basis = [frozen(g) for g in basis]
+    _same_terms([groebner.normal_form(p, basis)], [oracle.normal_form(frozen(p), old_basis)])
     nonzero = [g for g in polys if not g.is_zero()]
     if len(nonzero) >= 2:
         f, g = data.draw(st.permutations(nonzero))[:2]
-        lcm = map(max, f.leading_monomial(), g.leading_monomial())
+        exponents = f.ring.exponents
+        lcm = map(max, exponents(f.leading_monomial()), exponents(g.leading_monomial()))
         if sum(lcm) < DEGREE_LIMIT:
-            _same_terms([groebner.spoly(f, g)], [oracle.spoly(f, g)])
+            _same_terms([groebner.spoly(f, g)], [oracle.spoly(frozen(f), frozen(g))])
 
 
 @given(_wide(margin=48))
 @settings(max_examples=100, deadline=None)
 def test_reduced_basis_matches_frozen_code_on_wide_rings(gens) -> None:
-    candidates: list[MultiPoly] = []
+    candidates: list = []
     with mock.patch.object(groebner, "_update", _checked_update(candidates)):
         new = groebner.reduced_groebner_basis(gens)
-    _same_terms(new, oracle.reduced_groebner_basis(gens))
+    _same_terms(new, oracle.reduced_groebner_basis([frozen(g) for g in gens]))
 
 
 @given(_wide(margin=48, homogeneous=True))
 @settings(max_examples=100, deadline=None)
 def test_survivors_match_frozen_code_on_wide_rings(gens) -> None:
-    candidates: list[MultiPoly] = []
+    candidates: list = []
     with mock.patch.object(groebner, "_update", _checked_update(candidates)):
         new = groebner.minimalize_generators(gens)
-    _same_terms(new, oracle.minimalize_generators(gens))
+    _same_terms(new, oracle.minimalize_generators([frozen(g) for g in gens]))
 
 
 def test_degrees_at_the_packing_limit_raise() -> None:
@@ -223,7 +234,7 @@ def test_degrees_at_the_packing_limit_raise() -> None:
     assert groebner.normal_form(top + y, [y]) == top
     limit = str(DEGREE_LIMIT)
     with pytest.raises(ValueError, match=limit):
-        groebner.normal_form(top * x, [y])  # an input at the limit
+        groebner.normal_form(top * x, [y])  # an input at the limit: the product raises
     with pytest.raises(ValueError, match=limit):
         groebner.spoly(top, y)  # an lcm at the limit
     with pytest.raises(ValueError, match=limit):

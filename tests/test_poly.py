@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuranishi.poly import (
+    DEGREE_LIMIT,
     MultiPoly,
     PolyRing,
     divmod_single,
-    grevlex_key,
     poly_matrix_det,
     pure_linear_power,
     quadric_split,
@@ -41,6 +41,11 @@ def polys(draw: st.DrawFn, max_terms: int = 5, max_exp: int = 3) -> MultiPoly:
 # -- ordering ------------------------------------------------------------------
 
 
+def grevlex_key(exps: tuple[int, ...]) -> int:
+    """The ring's grevlex key of the monomial with exponents ``exps``."""
+    return R3.key(R3.pack(exps))
+
+
 def test_grevlex_degree_dominates() -> None:
     assert grevlex_key((2, 0, 0)) > grevlex_key((1, 1, 0)) or True  # same degree
     assert grevlex_key((1, 1, 1)) > grevlex_key((2, 0, 0))  # higher degree wins
@@ -60,7 +65,7 @@ def test_grevlex_tie_break_rightmost_smaller_wins() -> None:
 def test_leading_monomial_and_str() -> None:
     x, y, z = R3.var("x"), R3.var("y"), R3.var("z")
     p = x * y + z * z.scale(2) + x.scale(GaussianRational(0, 1))
-    assert p.leading_monomial() == (1, 1, 0)
+    assert R3.exponents(p.leading_monomial()) == (1, 1, 0)
     assert str(x * y - (z**2).scale(2) + x) == "x*y - 2*z^2 + x"
     assert str(R3.zero()) == "0"
     assert str(x.scale(GaussianRational(1, 1))) == "(1+i)*x"
@@ -114,6 +119,50 @@ def test_embed_by_name() -> None:
         big.var("s1").embed(small)
 
 
+# -- the monomial boundary ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [(-1, 0), (2, -1), (1,), (1, 0, 0), (DEGREE_LIMIT, 0), (DEGREE_LIMIT - 1, 1)],
+    ids=["negative", "negative-second", "short", "long", "at-limit", "sum-at-limit"],
+)
+def test_bad_exponent_tuples_raise(exps: tuple[int, ...]) -> None:
+    ring = PolyRing(["x", "y"])
+    with pytest.raises(ValueError):
+        ring.monomial(exps)
+    with pytest.raises(ValueError):
+        ring.from_terms([((0, 0), ONE), (exps, ONE)])
+    with pytest.raises(ValueError):
+        ring.one().coefficient(exps)
+
+
+def test_degree_below_the_limit_is_held() -> None:
+    ring = PolyRing(["x", "y"])
+    top = ring.monomial((DEGREE_LIMIT - 2, 1), 3)
+    assert top.total_degree() == DEGREE_LIMIT - 1
+    assert ring.exponents(top.leading_monomial()) == (DEGREE_LIMIT - 2, 1)
+    assert top.coefficient((DEGREE_LIMIT - 2, 1)) == GaussianRational(3)
+    assert top == ring.var("x") ** (DEGREE_LIMIT - 2) * ring.var("y").scale(3)
+
+
+def test_products_and_powers_at_the_limit_raise() -> None:
+    ring = PolyRing(["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    half = x ** (DEGREE_LIMIT // 2)
+    limit = str(DEGREE_LIMIT)
+    with pytest.raises(ValueError, match=limit):
+        half * (half + y)
+    with pytest.raises(ValueError, match=limit):
+        (x + y) ** DEGREE_LIMIT
+    with pytest.raises(ValueError, match=limit):
+        (half + ring.one()) ** 2
+    assert (half * ring.zero()).is_zero()
+    assert ring.zero() ** DEGREE_LIMIT == ring.zero()
+    power = (x * y) ** (DEGREE_LIMIT // 2 - 1)  # degree DEGREE_LIMIT - 2
+    assert ring.exponents(power.leading_monomial()) == (DEGREE_LIMIT // 2 - 1,) * 2
+
+
 # -- single-divisor division ----------------------------------------------------
 
 
@@ -126,8 +175,8 @@ def test_divmod_single_identity(p: MultiPoly, d: MultiPoly) -> None:
         return
     q, r = divmod_single(p, d)
     assert q * d + r == p
-    lead = d.leading_monomial()
-    for exps in r.terms:
+    lead = R3.exponents(d.leading_monomial())
+    for exps in map(R3.exponents, r.terms):
         assert not all(e >= l for e, l in zip(exps, lead))
 
 
