@@ -42,7 +42,11 @@ Vector = tuple[GaussianRational, ...]
 
 
 def _coerce_row(row: Iterable[object]) -> list[GaussianRational]:
-    return [GaussianRational.coerce(v) for v in row]  # type: ignore[arg-type]
+    coerce = GaussianRational.coerce
+    return [
+        v if type(v) is GaussianRational else coerce(v)  # type: ignore[arg-type]
+        for v in row
+    ]
 
 
 class ExactMatrix:

@@ -119,6 +119,21 @@ def test_embed_by_name() -> None:
         big.var("s1").embed(small)
 
 
+def test_equal_rings_that_are_distinct_objects_mix() -> None:
+    """The ring check tests identity first and falls back to equality, so a
+    second ring object with the same variable names still combines."""
+    twin = PolyRing(["x", "y", "z"])
+    assert twin is not R3 and twin == R3
+    p = R3.var("x") + R3.var("y").scale(2)
+    q = twin.var("x") * twin.var("z") - twin.one()
+    expected = R3.var("x") * R3.var("z") - R3.one()
+    assert p + q == p + expected and q + p == expected + p
+    assert p - q == p - expected
+    assert p * q == p * expected and q * p == expected * p
+    with pytest.raises(ValueError, match="different rings"):
+        p + PolyRing(["x", "y", "w"]).var("x")
+
+
 # -- the monomial boundary ------------------------------------------------------
 
 

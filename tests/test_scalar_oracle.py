@@ -88,6 +88,54 @@ def test_mixed_operands_match_the_oracle(p: tuple, c: object) -> None:
     assert_same(x.scale(c), ox.scale(c))
 
 
+def _over(d: int) -> st.SearchStrategy:
+    part = st.integers(min_value=-30, max_value=30).map(lambda n: Fraction(n, d))
+    return st.tuples(part, part)
+
+
+units = st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]).map(
+    lambda p: (Fraction(p[0]), Fraction(p[1]))
+)
+integral = st.tuples(
+    st.integers(min_value=-20, max_value=20).map(Fraction),
+    st.integers(min_value=-20, max_value=20).map(Fraction),
+)
+# The cases the arithmetic shortcuts take: a zero operand, units, integral
+# triples (no gcd), one shared denominator, and exact cancellation.
+fast_path_pairs = st.one_of(
+    st.tuples(units, parts),
+    st.tuples(parts, units),
+    st.tuples(units, units),
+    st.tuples(integral, integral),
+    st.tuples(integral, parts),
+    st.tuples(parts, integral),
+    st.integers(min_value=1, max_value=12).flatmap(lambda d: st.tuples(_over(d), _over(d))),
+    parts.map(lambda p: (p, p)),
+    parts.map(lambda p: (p, (-p[0], -p[1]))),
+)
+
+
+@given(fast_path_pairs)
+@settings(max_examples=300, deadline=None)
+def test_fast_paths_match_the_oracle(pq: tuple) -> None:
+    (x, ox), (y, oy) = pair(pq[0]), pair(pq[1])
+    for op in BINARY:
+        mine, mine_exc = outcome(op, x, y)
+        theirs, their_exc = outcome(op, ox, oy)
+        assert mine_exc is their_exc
+        if theirs is not None:
+            assert_same(mine, theirs)
+    for z, oz in ((x, ox), (y, oy)):
+        assert_same(-z, -oz)
+        assert_same(z.conjugate(), oz.conjugate())
+        assert_same(z + (-z), oz + (-oz))
+        assert_same(z - z, oz - oz)
+        for c in (0, 1, -1):
+            for op in (operator.add, operator.sub, operator.mul):
+                assert_same(op(z, c), op(oz, c))
+                assert_same(op(c, z), op(c, oz))
+
+
 @given(parts)
 @settings(max_examples=150, deadline=None)
 def test_unary_operations_match_the_oracle(p: tuple) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -126,8 +127,38 @@ def test_immutability_and_hash() -> None:
     z = GaussianRational(1, 2)
     with pytest.raises(AttributeError):
         z.re = Fraction(5)  # type: ignore[misc]
+    for slot in ("_a", "_b", "_d"):
+        with pytest.raises(AttributeError):
+            setattr(z, slot, 7)
+    assert (z._a, z._b, z._d) == (1, 2, 1)
     assert hash(GaussianRational(1, 2)) == hash(z)
     assert len({GaussianRational(1), GaussianRational(1, 0), ONE}) == 1
+    # An integral triple hashes as its integer parts, like (re, im) does.
+    assert hash(GaussianRational(3, -4)) == hash((3, -4)) == hash((Fraction(3), Fraction(-4)))
+
+    x, y = GaussianRational("1/6", "1/3"), GaussianRational("5/6", "-1/3")
+    assert x._d == y._d == 6
+    fast_paths = {
+        "zero shortcut, sum": x + ZERO,
+        "zero shortcut, sum from zero": ZERO + x,
+        "zero shortcut, difference": x - ZERO,
+        "zero shortcut, difference from zero": ZERO - x,
+        "zero shortcut, product": x * ZERO,
+        "zero shortcut, product by zero": ZERO * x,
+        "equal denominators, sum": x + y,
+        "equal denominators, difference": x - y,
+        "equal denominators, cancellation": x - x,
+        "integral, sum": GaussianRational(2, 1) + GaussianRational(-2, 3),
+        "integral, product": GaussianRational(2, 1) * I,
+        "neg": -x,
+        "conjugate": x.conjugate(),
+        "neg of integral": -GaussianRational(0, 5),
+    }
+    for label, r in fast_paths.items():
+        assert r._d > 0 and math.gcd(r._a, r._b, r._d) == 1, label
+    assert fast_paths["equal denominators, sum"] == ONE
+    assert fast_paths["equal denominators, cancellation"] == ZERO
+    assert fast_paths["zero shortcut, product"] is ZERO
 
 
 # -- square roots -------------------------------------------------------------
