@@ -13,7 +13,14 @@ container this module provides
   whose bracket has a nonzero bracket with the third element.  On every
   other pair or triple both sides are zero term by term, so it cannot fail
   there; the candidates are visited in basis-key order, so the messages and
-  their order are those of a loop over every pair and every triple;
+  their order are those of a loop over every pair and every triple.  After
+  ``d**2``, which is checked on the exact matrices, the check is
+  fraction-free: the bracket table is multiplied once by the lcm of its
+  denominators and the differential by the lcm of its own, so every
+  compared sum is the rational one times a fixed nonzero integer, which
+  changes neither whether it vanishes nor whether two sums agree.  The
+  Leibniz and Jacobi sums then run on Gaussian integers, each vector packed
+  into one int per part under a written bound on its fields;
 * the canonical splitting of each graded piece into harmonic, exact, and
   coexact subspaces (the harmonic counts are the cohomology dimensions),
   with the harmonic coordinates and the contracting homotopy that the
@@ -29,8 +36,9 @@ pivot rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import (
     EchelonBasis,
@@ -71,7 +79,7 @@ def _clean_entry(entry: Mapping[int, object], target_dim: int) -> dict[int, Gaus
             raise ValueError(
                 f"bracket target position {position} outside dimension {target_dim}"
             )
-        value = GaussianRational.coerce(coeff)
+        value = coeff if type(coeff) is GaussianRational else GaussianRational.coerce(coeff)
         if not value.is_zero():
             cleaned[position] = value
     return cleaned
@@ -139,7 +147,10 @@ class Dgla:
         """
         completed: dict[tuple[BasisKey, BasisKey], dict[int, GaussianRational]] = {}
         for (key_a, key_b), entry in entries.items():
-            value = {c: GaussianRational.coerce(v) for c, v in entry.items()}
+            value = {
+                c: v if type(v) is GaussianRational else GaussianRational.coerce(v)
+                for c, v in entry.items()
+            }
             value = {c: v for c, v in value.items() if not v.is_zero()}
             sign = -ONE if (key_a[0] * key_b[0]) % 2 == 0 else ONE
             mirror = {c: v * sign for c, v in value.items()}
@@ -231,18 +242,55 @@ class Dgla:
 
 # -- axiom validation -------------------------------------------------------
 
+#: A sparse table in integers: per key, ``{target: (x, y)}``, where
+#: ``target`` is a basis key and ``x + y*i`` a Gaussian integer.
+IntegerTable = dict[object, dict[BasisKey, tuple[int, int]]]
 
-def _add_scaled_entry(
-    acc: dict[int, GaussianRational],
-    coeff: GaussianRational,
-    entry: Mapping[int, GaussianRational],
-) -> None:
-    for c, v in entry.items():
-        w = acc.get(c, ZERO) + coeff * v
-        if w.is_zero():
-            acc.pop(c, None)
-        else:
-            acc[c] = w
+
+def _integer_view(
+    table: Mapping[object, Mapping[int, GaussianRational]],
+    target_degree: Callable[[object], int],
+) -> IntegerTable:
+    """``table`` times the lcm of its denominators, in Gaussian integers, with
+    each position of ``table[key]`` keyed as a basis key of ``target_degree(key)``."""
+    scale = math.lcm(*(v.triple[2] for entry in table.values() for v in entry.values()))
+    view: IntegerTable = {}
+    for key, entry in table.items():
+        degree = target_degree(key)
+        row = view[key] = {}
+        for c, v in entry.items():
+            a, b, d = v.triple
+            q = scale // d
+            row[degree, c] = (a * q, b * q)
+    return view
+
+
+def _pack(entry: Mapping[BasisKey, tuple[int, int]], width: int) -> tuple[int, int]:
+    """One entry of an integer view as a pair ``(re, im)`` of ints: the part
+    at target ``(degree, c)`` is the signed field at ``2**(width*c)``."""
+    re = im = 0
+    for (_, c), (x, y) in entry.items():
+        re += x << (width * c)
+        im += y << (width * c)
+    return re, im
+
+
+def _packed_sum(groups: Iterable[tuple[int, Mapping, Mapping]]) -> tuple[int, int]:
+    """The packed sum over ``groups`` ``(sign, entry, row)`` of ``sign`` times
+    the sum of ``(x + y*i) * (p + q*i)`` over the keys with ``entry[key] ==
+    (x, y)`` and ``row[key] == (p, q)``; a product scales every field."""
+    re = im = 0
+    for sign, entry, row in groups:
+        part_re = part_im = 0
+        for key, (x, y) in entry.items():
+            packed = row.get(key)
+            if packed is not None:
+                p, q = packed
+                part_re += x * p - y * q
+                part_im += x * q + y * p
+        re += sign * part_re
+        im += sign * part_im
+    return re, im
 
 
 def _pair_text(dgla: Dgla, key_a: BasisKey, key_b: BasisKey) -> str:
@@ -267,13 +315,34 @@ def dgla_axiom_failures(dgla: Dgla, *, max_failures: int = 20) -> list[str]:
     zero.  Candidates are visited in the order of the basis keys, as a loop
     over every pair and every sorted triple would visit them, so the
     messages and their order are those of that loop.
+
+    After ``d**2`` every check runs on Gaussian integers.  The bracket
+    table is multiplied by ``D_b``, the lcm of its denominators, and the
+    differential columns by ``D_d``, the lcm of theirs.  Every antisymmetry
+    term is one bracket coefficient, every Leibniz term on either side a
+    bracket coefficient times a differential coefficient, and every Jacobi
+    term a product of two bracket coefficients, so each compared sum is the
+    rational one times ``D_b``, ``D_b * D_d`` or ``D_b**2``: a fixed nonzero
+    integer, which changes neither whether a sum is zero nor whether two
+    sums are equal.
+
+    The Leibniz and Jacobi sums are formed on whole vectors: the entries of
+    the target degree are packed into one int per part, position ``c`` in
+    the signed field of width ``w`` at ``2**(w*c)``.  A field of a compared
+    sum (or of the difference of the two Leibniz sides) adds at most ``3L``
+    products of Gaussian integers whose parts are at most ``M`` in absolute
+    value, where ``L`` is the longest bracket entry or differential column
+    and ``M`` the largest part of either integer table; so it is at most
+    ``6 L M**2 < 2**(w-1)``.  With every field below ``2**(w-1)`` in
+    absolute value, a packed int is zero only when every field is zero (the
+    highest nonzero field outweighs all the fields below it), so the packed
+    comparison is the comparison of the vectors.
     """
     failures: list[str] = []
 
     def full() -> bool:
         return len(failures) >= max_failures
 
-    brackets = dgla.brackets
     for i in dgla.degrees():
         outer, inner = dgla.differentials.get(i + 1), dgla.differentials.get(i)
         if outer is not None and inner is not None and not (outer @ inner).is_zero():
@@ -281,70 +350,78 @@ def dgla_axiom_failures(dgla: Dgla, *, max_failures: int = 20) -> list[str]:
             if full():
                 return failures
 
+    brackets = _integer_view(dgla.brackets, lambda pair: pair[0][0] + pair[1][0])
     for (key_a, key_b), entry in sorted(brackets.items()):
-        sign = -ONE if (key_a[0] * key_b[0]) % 2 == 0 else ONE
-        expected = {c: v * sign for c, v in entry.items()}
-        if dgla.bracket_entry(key_b, key_a) != expected:
+        if (key_a[0] * key_b[0]) % 2 == 0:
+            entry = {c: (-x, -y) for c, (x, y) in entry.items()}
+        if brackets.get((key_b, key_a), {}) != entry:
             failures.append(
                 f"bracket is not graded-antisymmetric on {_pair_text(dgla, key_a, key_b)}"
             )
             if full():
                 return failures
 
-    # nonzero differential columns, and who each key is bracketed with
-    columns: dict[BasisKey, dict[int, GaussianRational]] = {}
+    # nonzero differential columns
+    d_columns: dict[BasisKey, dict[int, GaussianRational]] = {}
     for i, matrix in dgla.differentials.items():
         for row, values in enumerate(matrix.rows):
             for a, v in enumerate(values):
                 if not v.is_zero():
-                    columns.setdefault((i, a), {})[row] = v
-    right_partners: dict[BasisKey, list[BasisKey]] = {}
-    left_partners: dict[BasisKey, list[BasisKey]] = {}
-    for key_a, key_b in brackets:
-        right_partners.setdefault(key_a, []).append(key_b)
-        left_partners.setdefault(key_b, []).append(key_a)
+                    d_columns.setdefault((i, a), {})[row] = v
+    columns = _integer_view(d_columns, lambda key: key[0] + 1)
+
+    # packed vectors: d(x) for each key x, and [x, y] filed both as
+    # right[x][y] and as left[y][x], so each key finds its bracket partners
+    entries = [*brackets.values(), *columns.values()]
+    longest = max(map(len, entries), default=0)
+    largest = max((abs(t) for e in entries for xy in e.values() for t in xy), default=0)
+    width = (6 * longest * largest * largest).bit_length() + 1
+    image = {key: _pack(column, width) for key, column in columns.items()}
+    right: dict[BasisKey, dict[BasisKey, tuple[int, int]]] = {}
+    left: dict[BasisKey, dict[BasisKey, tuple[int, int]]] = {}
+    for (key_a, key_b), entry in brackets.items():
+        packed = _pack(entry, width)
+        right.setdefault(key_a, {})[key_b] = left.setdefault(key_b, {})[key_a] = packed
 
     pairs = set(brackets)
     for key, column in columns.items():
-        for c in column:
-            image = (key[0] + 1, c)
-            pairs.update((key, key_b) for key_b in right_partners.get(image, ()))
-            pairs.update((key_a, key) for key_a in left_partners.get(image, ()))
+        for key_c in column:
+            pairs.update((key, key_b) for key_b in right.get(key_c, ()))
+            pairs.update((key_a, key) for key_a in left.get(key_c, ()))
     for key_a, key_b in sorted(pairs):
-        i, j = key_a[0], key_b[0]
-        lhs: dict[int, GaussianRational] = {}
-        for c, v in brackets.get((key_a, key_b), {}).items():
-            _add_scaled_entry(lhs, v, columns.get((i + j, c), {}))
-        rhs: dict[int, GaussianRational] = {}
-        for c, v in columns.get(key_a, {}).items():
-            _add_scaled_entry(rhs, v, brackets.get(((i + 1, c), key_b), {}))
-        for c, v in columns.get(key_b, {}).items():
-            coeff = -v if i % 2 else v
-            _add_scaled_entry(rhs, coeff, brackets.get((key_a, (j + 1, c)), {}))
+        lhs = _packed_sum([(1, brackets.get((key_a, key_b), {}), image)])
+        rhs = _packed_sum(
+            [
+                (1, columns.get(key_a, {}), left.get(key_b, {})),
+                (-1 if key_a[0] % 2 else 1, columns.get(key_b, {}), right.get(key_a, {})),
+            ]
+        )
         if lhs != rhs:
             failures.append(f"Leibniz rule fails on {_pair_text(dgla, key_a, key_b)}")
             if full():
                 return failures
 
-    triples: set[tuple[BasisKey, BasisKey, BasisKey]] = set()
+    # the outer partners of each stored pair, both orders together
+    outers: dict[tuple[BasisKey, BasisKey], set[BasisKey]] = {}
     for (key_p, key_q), entry in brackets.items():
-        degree = key_p[0] + key_q[0]
-        for m in entry:
-            for key_o in left_partners.get((degree, m), ()):
-                triples.add(tuple(sorted((key_o, key_p, key_q))))
+        group = outers.setdefault(tuple(sorted((key_p, key_q))), set())
+        for key_m in entry:
+            group.update(left.get(key_m, ()))
+    triples = {
+        tuple(sorted((key_o, key_p, key_q)))
+        for (key_p, key_q), group in outers.items()
+        for key_o in group
+    }
     for key_x, key_y, key_z in sorted(triples):
         i, j, k = key_x[0], key_y[0], key_z[0]
-        total: dict[int, GaussianRational] = {}
-        for outer, pair, degree, sign_exp in (
-            (key_x, (key_y, key_z), j + k, i * k),
-            (key_y, (key_z, key_x), k + i, j * i),
-            (key_z, (key_x, key_y), i + j, k * j),
-        ):
-            for m, v in brackets.get(pair, {}).items():
-                outer_entry = brackets.get((outer, (degree, m)))
-                if outer_entry:
-                    _add_scaled_entry(total, -v if sign_exp % 2 else v, outer_entry)
-        if total:
+        total = _packed_sum(
+            [
+                (-1 if i * k % 2 else 1, brackets.get((key_y, key_z), {}), right.get(key_x, {})),
+                (-1 if j * i % 2 else 1, brackets.get((key_z, key_x), {}), right.get(key_y, {})),
+                (-1 if k * j % 2 else 1, brackets.get((key_x, key_y), {}), right.get(key_z, {})),
+            ]
+        )
+        if total != (0, 0):
             failures.append(
                 "graded Jacobi identity fails on "
                 f"({dgla.label(*key_x)}, {dgla.label(*key_y)}, {dgla.label(*key_z)})"

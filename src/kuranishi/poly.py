@@ -295,7 +295,7 @@ class MultiPoly:
         return MultiPoly(self.ring, acc)
 
     def scale(self, c: object) -> "MultiPoly":
-        s = GaussianRational.coerce(c)  # type: ignore[arg-type]
+        s = c if type(c) is GaussianRational else GaussianRational.coerce(c)  # type: ignore[arg-type]
         if s.is_zero():
             return self.ring.zero()
         return MultiPoly(self.ring, {e: s * v for e, v in self.terms.items()})

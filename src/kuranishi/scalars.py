@@ -12,10 +12,11 @@ coercion, sums over one denominator add the numerators directly, and a zero
 operand returns the other operand (sum) or the shared ``ZERO`` (product),
 which is safe because values are immutable.  Only the public constructor
 parses its arguments.  The parts ``re`` and ``im`` are exact
-``fractions.Fraction`` values computed on demand.  Display, the wire form
-and the hash are those of the pair ``(re, im)``; an integral triple hashes
-as ``(a, b)``, the same value, since an int and the equal ``Fraction`` hash
-alike.
+``fractions.Fraction`` values computed on demand; ``triple`` hands the
+normalised integers to code that runs its own integer arithmetic.
+Display, the wire form and the hash are those of the pair ``(re, im)``; an
+integral triple hashes as ``(a, b)``, the same value, since an int and the
+equal ``Fraction`` hash alike.
 
 No floating point is ever used; constructing a scalar from a float raises,
 and serialization keeps numerator/denominator form.
@@ -131,6 +132,11 @@ class GaussianRational:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """The normalised triple ``(a, b, d)``: the value is ``(a + b*i)/d``."""
+        return self._a, self._b, self._d
 
     # -- construction -------------------------------------------------
 

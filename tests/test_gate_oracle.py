@@ -4,17 +4,25 @@
 (Leibniz) and every sorted triple (Jacobi).  The sparse gate must return the
 same failure list, message for message and in the same order, and
 ``validate_dgla`` the same first message, on the joint, deformation and
-endomorphism DGLAs of every catalog entry at ranks 1 and 2, on single-entry
+endomorphism DGLAs of every catalog entry at ranks 1 and 2, on the rank-1
+joint DGLAs of catalog entries in seeded mixed frames, on single-entry
 mutants of them, and on small random graded tables.  The dense gate takes
 0.1-0.4 s on a rank-2 joint or endomorphism DGLA, so those are compared
 unmutated and the mutants are made of the rank-1 DGLAs and the rank-2
 deformation blocks.
+
+The sparse gate clears each table's denominators by their lcm and runs on
+Gaussian integers, so it needs inputs whose denominators are not all powers
+of one prime: the mixed frames have such bracket tables (a test keeps that
+so), and the random tables draw scalars over 2, 3 and 7.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +30,7 @@ from hypothesis import strategies as st
 
 import oracle_dgla as oracle
 from kuranishi.builders import build_pair_dgla
+from kuranishi.catalog import build_catalog_structure
 from kuranishi.config import load_config
 from kuranishi.dgla import Dgla, DglaAxiomError, dgla_axiom_failures, validate_dgla
 from kuranishi.linalg import ExactMatrix
@@ -32,6 +41,8 @@ BLOCKS = ("joint", "deformation", "endomorphism")
 CASES = [
     f"{name}-r{rank}-{block}" for name in CATALOG for rank in (1, 2) for block in BLOCKS
 ]
+FRAMED = ("example1", "example2", "iwasawa", "n3", "n8", "n9")
+UNBOUNDED = sys.maxsize
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,6 +70,34 @@ def _assert_matches_oracle(dgla: Dgla) -> list[str]:
     assert dgla_axiom_failures(dgla, max_failures=20) == want
     assert _first_message(dgla) == (want[0] if want else None)
     return want
+
+
+def _assert_matches_oracle_at_every_limit(dgla: Dgla) -> list[str]:
+    """The gate at ``max_failures`` 1, 20 and unbounded.  The oracle stops
+    when its list is full and never reorders it, so its list at a limit is
+    the prefix of its unbounded list."""
+    want = oracle.dgla_axiom_failures(dgla, max_failures=UNBOUNDED)
+    for limit in (1, 20, UNBOUNDED):
+        assert dgla_axiom_failures(dgla, max_failures=limit) == want[:limit]
+    assert _first_message(dgla) == (want[0] if want else None)
+    return want
+
+
+@functools.lru_cache(maxsize=None)
+def _framed(name: str) -> Dgla:
+    """The rank-1 joint DGLA of ``name`` in a frame mixed by a seeded matrix."""
+    rng = random.Random(f"gate-oracle/{name}")
+    structure = build_catalog_structure(name)
+    while True:
+        columns = [
+            [G(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(structure.m)]
+            for _ in range(structure.m)
+        ]
+        try:
+            changed = structure.change_frame(columns)
+        except ValueError:
+            continue  # singular draw
+        return build_pair_dgla(changed, 1).dgla
 
 
 # -- single-entry mutants ------------------------------------------------------
@@ -172,6 +211,43 @@ def test_gate_matches_frozen_oracle(case: str) -> None:
             _assert_matches_oracle(mutant)
 
 
+@pytest.mark.parametrize("name", FRAMED)
+def test_gate_matches_frozen_oracle_on_mixed_frames(name: str) -> None:
+    dgla = _framed(name)
+    assert _assert_matches_oracle_at_every_limit(dgla) == []
+    for mutant in _mutants(dgla, f"gate-oracle/framed/{name}"):
+        _assert_matches_oracle_at_every_limit(mutant)
+
+
+@pytest.mark.parametrize("name", FRAMED)
+def test_gate_matches_frozen_oracle_on_rescaled_mixed_frames(name: str) -> None:
+    """``(L, 1/3 d, 5/7 [,])`` is a DGLA whenever ``(L, d, [,])`` is: ``d**2``
+    and Leibniz are homogeneous in ``d``, antisymmetry, Leibniz and Jacobi in
+    the bracket.  Then the differential and the bracket table each have a
+    denominator that the other's lcm does not divide."""
+    dgla = _framed(name)
+    rescaled = _with(
+        dgla,
+        brackets={
+            key: {c: v * G("5/7") for c, v in entry.items()}
+            for key, entry in dgla.brackets.items()
+        },
+        differentials={i: m.scale(G("1/3")) for i, m in dgla.differentials.items()},
+    )
+    assert _assert_matches_oracle_at_every_limit(rescaled) == []
+
+
+def test_mixed_frames_have_denominators_whose_lcm_is_not_the_largest() -> None:
+    """Some mixed-frame bracket table has an lcm of denominators above 2 and
+    above its largest denominator, so scaling by the largest denominator, or
+    by a power of two, would not clear it."""
+    for name in FRAMED:
+        dens = [v.triple[2] for entry in _framed(name).brackets.values() for v in entry.values()]
+        if math.lcm(*dens) > max(dens, default=1) and math.lcm(*dens) > 2:
+            return
+    pytest.fail("every mixed-frame bracket table is cleared by its largest denominator")
+
+
 def test_mutants_reach_every_axiom() -> None:
     """The mutants are not all caught by the first two axioms: each of the
     four kinds of message is the first one for some mutant."""
@@ -186,7 +262,9 @@ def test_mutants_reach_every_axiom() -> None:
 
 # -- random graded tables ----------------------------------------------------
 
-_SCALARS = st.sampled_from((G(1), G(-1), G(2), G(0, 1), G(1, 1)))
+_SCALARS = st.sampled_from(
+    (G(1), G(-1), G(2), G(0, 1), G(1, 1), G("1/3", "2/3"), G("-1/2"), G(0, "5/7"))
+)
 
 
 @st.composite

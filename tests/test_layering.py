@@ -50,3 +50,16 @@ def test_the_check_sees_private_imports() -> None:
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_a_private_name(name: str) -> None:
     assert _private_imports((PACKAGE / name).read_text()) == []
+
+
+def test_only_scalars_reads_the_scalar_slots() -> None:
+    """``GaussianRational`` keeps its triple in the slots ``_a``, ``_b`` and
+    ``_d``; every other module reads it through ``triple``."""
+    reads = [
+        f"{name}: .{node.attr}"
+        for name in MODULES
+        if name != "scalars.py"
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("_a", "_b", "_d")
+    ]
+    assert reads == []

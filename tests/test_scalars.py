@@ -161,6 +161,15 @@ def test_immutability_and_hash() -> None:
     assert fast_paths["zero shortcut, product"] is ZERO
 
 
+def test_triple_is_the_normalised_triple() -> None:
+    assert GaussianRational("1/2", "3/4").triple == (2, 3, 4)
+    assert GaussianRational("-2/6", 0).triple == (-1, 0, 3)
+    assert ZERO.triple == (0, 0, 1)
+    z = GaussianRational(1, 2)
+    with pytest.raises(AttributeError):
+        z.triple = (1, 0, 1)  # type: ignore[misc]
+
+
 # -- square roots -------------------------------------------------------------
 
 
