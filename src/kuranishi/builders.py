@@ -69,6 +69,11 @@ def _normalize_word(seq: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
     return tuple(sorted(seq)), -1 if inversions % 2 else 1
 
 
+def _signed(value: GaussianRational, sign: int) -> GaussianRational:
+    """``value`` times the sign ``+1`` or ``-1``, by negation."""
+    return value if sign > 0 else -value
+
+
 #: ``table[j]`` maps a sorted leg word to its coefficient in the image of
 #: the leg ``a^{j+1}`` under a derivation of the conjugate coframe forms.
 LegTable = list[dict[tuple[int, ...], GaussianRational]]
@@ -313,7 +318,7 @@ def build_pair_dgla(
         if normalized is not None:
             word, sign = normalized
             for value, coeff in _value_bracket(structure, rank, x, y):
-                _accumulate(out, targets[(word, value)], coeff * sign)
+                _accumulate(out, targets[(word, value)], _signed(coeff, sign))
         mirror_sign = -1 if (len(word_a) * len(word_b)) % 2 == 0 else 1
         for acting, word_acting, word_other, value, side_sign in (
             (x, word_a, word_b, y, 1),
@@ -326,7 +331,9 @@ def build_pair_dgla(
                 if normalized is None:
                     continue
                 word, s2 = normalized
-                _accumulate(out, targets[(word, value)], coeff * (s1 * s2 * side_sign))
+                _accumulate(
+                    out, targets[(word, value)], _signed(coeff, s1 * s2 * side_sign)
+                )
         return out
 
     entries: BracketTable = {}
@@ -344,7 +351,7 @@ def build_pair_dgla(
     differentials: dict[int, ExactMatrix] = {}
     for q in range(m):
         form_image = {
-            word: [(w, c * s) for w, s, c in _replace_slots(word, dbar)]
+            word: [(w, _signed(c, s)) for w, s, c in _replace_slots(word, dbar)]
             for word in words[q]
         }
         targets = position[q + 1]
@@ -361,14 +368,14 @@ def build_pair_dgla(
                     action = structure.frame_bracket(m + b, x)[:m]
                     for c, v in enumerate(action):
                         if not v.is_zero():
-                            _accumulate(image, targets[(new_word, c)], v * sign)
+                            _accumulate(image, targets[(new_word, c)], _signed(v, sign))
                 for (hol, anti), matrix in normalized_curvature.items():
                     normalized = _normalize_word(word + (anti,))
                     if hol != x or normalized is None:
                         continue
                     new_word, sign = normalized
                     for g in range(square):
-                        coeff = matrix[divmod(g, rank)] * -sign
+                        coeff = _signed(matrix[divmod(g, rank)], -sign)
                         _accumulate(image, targets[(new_word, m + g)], coeff)
             for row, v in image.items():
                 rows[row][col] = v

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .linalg import (
     EchelonBasis,
@@ -57,6 +57,7 @@ __all__ = [
     "HodgeDegree",
     "dgla_axiom_failures",
     "hodge_decomposition",
+    "integer_view",
     "validate_dgla",
 ]
 
@@ -242,27 +243,25 @@ class Dgla:
 
 # -- axiom validation -------------------------------------------------------
 
-#: A sparse table in integers: per key, ``{target: (x, y)}``, where
-#: ``target`` is a basis key and ``x + y*i`` a Gaussian integer.
-IntegerTable = dict[object, dict[BasisKey, tuple[int, int]]]
+#: A sparse table in integers: per key, ``{position: (x, y)}``, where
+#: ``x + y*i`` is a Gaussian integer.
+IntegerTable = dict[Hashable, dict[Hashable, tuple[int, int]]]
 
 
-def _integer_view(
-    table: Mapping[object, Mapping[int, GaussianRational]],
-    target_degree: Callable[[object], int],
-) -> IntegerTable:
-    """``table`` times the lcm of its denominators, in Gaussian integers, with
-    each position of ``table[key]`` keyed as a basis key of ``target_degree(key)``."""
+def integer_view(
+    table: Mapping[Hashable, Mapping[Hashable, GaussianRational]],
+) -> tuple[int, IntegerTable]:
+    """``(D, view)``: ``view`` is ``table`` times ``D``, the lcm of its
+    denominators, in Gaussian integers; ``D`` is 1 for an empty table."""
     scale = math.lcm(*(v.triple[2] for entry in table.values() for v in entry.values()))
     view: IntegerTable = {}
     for key, entry in table.items():
-        degree = target_degree(key)
         row = view[key] = {}
         for c, v in entry.items():
             a, b, d = v.triple
             q = scale // d
-            row[degree, c] = (a * q, b * q)
-    return view
+            row[c] = (a * q, b * q)
+    return scale, view
 
 
 def _pack(entry: Mapping[BasisKey, tuple[int, int]], width: int) -> tuple[int, int]:
@@ -350,7 +349,13 @@ def dgla_axiom_failures(dgla: Dgla, *, max_failures: int = 20) -> list[str]:
             if full():
                 return failures
 
-    brackets = _integer_view(dgla.brackets, lambda pair: pair[0][0] + pair[1][0])
+    # each target position keyed as a basis key
+    _, brackets = integer_view(
+        {
+            (key_a, key_b): {(key_a[0] + key_b[0], c): v for c, v in entry.items()}
+            for (key_a, key_b), entry in dgla.brackets.items()
+        }
+    )
     for (key_a, key_b), entry in sorted(brackets.items()):
         if (key_a[0] * key_b[0]) % 2 == 0:
             entry = {c: (-x, -y) for c, (x, y) in entry.items()}
@@ -362,13 +367,13 @@ def dgla_axiom_failures(dgla: Dgla, *, max_failures: int = 20) -> list[str]:
                 return failures
 
     # nonzero differential columns
-    d_columns: dict[BasisKey, dict[int, GaussianRational]] = {}
+    d_columns: dict[BasisKey, dict[BasisKey, GaussianRational]] = {}
     for i, matrix in dgla.differentials.items():
         for row, values in enumerate(matrix.rows):
             for a, v in enumerate(values):
                 if not v.is_zero():
-                    d_columns.setdefault((i, a), {})[row] = v
-    columns = _integer_view(d_columns, lambda key: key[0] + 1)
+                    d_columns.setdefault((i, a), {})[i + 1, row] = v
+    _, columns = integer_view(d_columns)
 
     # packed vectors: d(x) for each key x, and [x, y] filed both as
     # right[x][y] and as left[y][x], so each key finds its bracket partners

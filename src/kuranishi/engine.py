@@ -8,7 +8,14 @@ Given a DGLA built by :mod:`kuranishi.builders`, this module
 * expands the series recursively, degree by degree — the degree-k
   correction is ``-1/2`` times the contracting homotopy applied to the
   degree-k part of the self-bracket — and collects the per-degree
-  obstruction coordinates (harmonic components of the self-bracket);
+  obstruction coordinates (harmonic components of the self-bracket).  The
+  recursion is fraction-free: the degree-one bracket, the homotopy and the
+  harmonic coordinates are multiplied once by the lcm of their
+  denominators, each term is held as Gaussian-integer numerators over one
+  denominator, and every step is an exact integer identity, so the terms
+  are the rational ones.  It stops computing once the degree exceeds twice
+  the last nonzero one: there every pair of the self-bracket meets a zero
+  term, which is the termination certificate's argument;
 * certifies exactness of the resulting obstruction ideal by one of three
   routes (termination doubling, bracket closure of the harmonic span, or a
   rational fixed point for the correction tail), falling back to an honest
@@ -26,11 +33,13 @@ floating point or on randomized choices.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .dgla import Dgla, HodgeDegree, hodge_decomposition
+from .dgla import Dgla, HodgeDegree, hodge_decomposition, integer_view
 from .groebner import minimalize_generators, normal_form, reduced_groebner_basis
 from .linalg import EchelonBasis, ExactMatrix, Vector, rref
 from .poly import (
@@ -40,7 +49,7 @@ from .poly import (
     pure_linear_power,
     quadric_split,
 )
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational
 
 __all__ = [
     "GermInvariants",
@@ -55,6 +64,8 @@ __all__ = [
     "product_of_germs",
 ]
 
+#: the factor of the series recursion ``s_k = -1/2 H sb_k``; the frozen
+#: test oracles expand with it
 MINUS_HALF = GaussianRational(Fraction(-1, 2))
 
 #: node budget of the leaf decomposition in the germ decision tree
@@ -74,6 +85,11 @@ class KuranishiProblem:
     parameters: list[str]
     harmonic_reps: list[Vector]
     linear_term: list[MultiPoly]
+
+    @functools.cached_property
+    def _series_kernel(self) -> "_SeriesKernel":
+        """Integer views for the series recursion, built on first use."""
+        return _SeriesKernel(self)
 
     def homotopy(self, degree: int) -> ExactMatrix:
         record = self.hodge.get(degree)
@@ -124,6 +140,13 @@ def kuranishi_problem(
 
 # -- series expansion ---------------------------------------------------------
 
+#: A polynomial with Gaussian-integer coefficients: packed monomial to ``(x, y)``,
+#: standing for ``x + y*i``; no zero coefficients are stored.
+IntPoly = dict[int, tuple[int, int]]
+
+#: ``(D, rows)``: the vector of polynomials ``rows[c] / D``, with ``D > 0``.
+IntVector = tuple[int, list[IntPoly]]
+
 
 def _vector_is_zero(vec: Sequence[MultiPoly]) -> bool:
     return all(p.is_zero() for p in vec)
@@ -138,6 +161,157 @@ def _harmonic_poly_coordinates(
     return list(record.harmonic_coordinates.apply(vec, problem.ring.zero()))
 
 
+def _matrix_view(matrix: ExactMatrix) -> tuple[int, list[list[tuple[int, int, int]]]]:
+    """``(D, rows)``: each row of ``D * matrix`` as ``(column, x, y)`` for
+    its nonzero entries ``x + y*i``, ``D`` the lcm of the denominators."""
+    scale, view = integer_view(
+        {
+            r: {c: v for c, v in enumerate(row) if not v.is_zero()}
+            for r, row in enumerate(matrix.rows)
+        }
+    )
+    return scale, [[(c, x, y) for c, (x, y) in view[r].items()] for r in range(matrix.nrows)]
+
+
+def _accumulate(
+    acc: dict[int, list[int]], poly: Mapping, x: int, y: int, monomial: int = 0
+) -> None:
+    """``acc += (x + y*i) * monomial * poly`` on ``[re, im]`` cells, where
+    ``poly`` maps monomials to ``(re, im)`` pairs."""
+    get = acc.get
+    for m, (p, q) in poly.items():
+        m += monomial
+        re, im = x * p - y * q, x * q + y * p
+        cell = get(m)
+        if cell is None:
+            acc[m] = [re, im]
+        else:
+            cell[0] += re
+            cell[1] += im
+
+
+def _nonzero(cells: dict[int, list[int]]) -> IntPoly:
+    return {m: (re, im) for m, (re, im) in cells.items() if re or im}
+
+
+def _apply(rows: list[list[tuple[int, int, int]]], vec: list[IntPoly]) -> list[IntPoly]:
+    """The integer matrix ``rows`` (a :func:`_matrix_view`) times ``vec``."""
+    out = []
+    for row in rows:
+        cells: dict[int, list[int]] = {}
+        for c, x, y in row:
+            if vec[c]:
+                _accumulate(cells, vec[c], x, y)
+        out.append(_nonzero(cells))
+    return out
+
+
+def _numerators(vec: Sequence[MultiPoly]) -> IntVector:
+    scale, view = integer_view(dict(enumerate(p.terms for p in vec)))
+    return scale, [view[c] for c in range(len(vec))]
+
+
+def _content_reduced(den: int, rows: list[IntPoly]) -> IntVector:
+    """``(den, rows)`` divided by the gcd of ``den`` and every coefficient part."""
+    g = den
+    for row in rows:
+        for x, y in row.values():
+            g = math.gcd(g, x, y)
+            if g == 1:
+                return den, rows
+    return den // g, [{m: (x // g, y // g) for m, (x, y) in row.items()} for row in rows]
+
+
+class _SeriesKernel:
+    """Integer views of the maps that the series recursion applies.
+
+    ``brackets`` lists the degree-one bracket entries ``[e_a, e_b]`` with
+    ``a <= b`` as ``(a, b, [(c, x, y), ...])``, over ``D_b``.  The bracket
+    of two degree-one elements is symmetric (the axiom gate has checked
+    graded antisymmetry), so an entry with ``a < b`` stands for both orders
+    and carries a factor 2.  ``correction_rows`` are the rows of ``-H``,
+    the negated homotopy ``L^2 -> L^1``, over ``D_h``, and
+    ``coordinate_rows`` those of the harmonic coordinates of degree two,
+    over ``D_c``.
+    """
+
+    def __init__(self, problem: KuranishiProblem) -> None:
+        dgla = problem.dgla
+        self.ring = problem.ring
+        self.dim2 = dgla.dim(2)
+        one_one = {
+            (a, b): entry
+            for ((i, a), (j, b)), entry in dgla.brackets.items()
+            if i == j == 1 and a <= b
+        }
+        self.bracket_scale, view = integer_view(one_one)
+        self.brackets = []
+        for (a, b), entry in view.items():
+            f = 1 if a == b else 2
+            self.brackets.append((a, b, [(c, f * x, f * y) for c, (x, y) in entry.items()]))
+        self.homotopy_scale, homotopy = _matrix_view(problem.homotopy(2))
+        self.correction_rows = [[(c, -x, -y) for c, x, y in row] for row in homotopy]
+        record = problem.hodge.get(2)
+        self.coordinate_scale, self.coordinate_rows = _matrix_view(
+            record.harmonic_coordinates if record is not None else ExactMatrix([], ncols=0)
+        )
+
+    def polys(self, den: int, rows: list[IntPoly]) -> list[MultiPoly]:
+        ring, make = self.ring, GaussianRational.from_triple
+        return [
+            MultiPoly(ring, {m: make(x, y, den) for m, (x, y) in row.items()})
+            for row in rows
+        ]
+
+    def bracket_sum(self, pairs: Sequence[tuple[IntVector, IntVector]]) -> IntVector:
+        """The sum over ``(u, v)`` in ``pairs`` of ``[u, v]``, doubled when
+        ``u`` is not ``v``, in degree two.  It is put over ``D_b * L``, with
+        ``L`` the lcm of the pairs' ``D_u * D_v``: each pair's products are
+        scaled by ``L / (D_u * D_v)``."""
+        common = math.lcm(*(du * dv for (du, _), (dv, _) in pairs))
+        products: dict[tuple[int, int], dict[int, list[int]]] = {}
+
+        def multiply(a: int, b: int, f: IntPoly, g: IntPoly, scale: int) -> None:
+            acc = products.setdefault((a, b), {})
+            for m, (x, y) in f.items():
+                _accumulate(acc, g, scale * x, scale * y, m)
+
+        for (du, u), (dv, v) in pairs:
+            scale = common // (du * dv)
+            for a, b, _ in self.brackets:
+                ua, ub, va, vb = u[a], u[b], v[a], v[b]
+                if u is v:
+                    if ua and ub:
+                        multiply(a, b, ua, ub, scale)
+                elif a == b:
+                    if ua and va:
+                        multiply(a, b, ua, va, 2 * scale)
+                else:
+                    if ua and vb:
+                        multiply(a, b, ua, vb, scale)
+                    if ub and va:
+                        multiply(a, b, ub, va, scale)
+        out: list[dict[int, list[int]]] = [{} for _ in range(self.dim2)]
+        for a, b, entry in self.brackets:
+            product = products.get((a, b))
+            if product:
+                for c, x, y in entry:
+                    _accumulate(out[c], product, x, y)
+        return self.bracket_scale * common, [_nonzero(cells) for cells in out]
+
+    def correction(self, bracket: IntVector) -> IntVector:
+        """``-1/2`` times the homotopy of ``bracket``, in lowest terms."""
+        den, rows = bracket
+        return _content_reduced(
+            2 * self.homotopy_scale * den, _apply(self.correction_rows, rows)
+        )
+
+    def coordinates(self, bracket: IntVector) -> list[MultiPoly]:
+        """The harmonic coordinates of ``bracket``."""
+        den, rows = bracket
+        return self.polys(self.coordinate_scale * den, _apply(self.coordinate_rows, rows))
+
+
 def expand_series(
     problem: KuranishiProblem, order: int
 ) -> tuple[dict[int, list[MultiPoly]], dict[int, list[MultiPoly]]]:
@@ -148,34 +322,57 @@ def expand_series(
     (``series[1]`` is the linear term) and ``obstructions[k]`` lists the
     harmonic coordinates of the degree-k part of the self-bracket, one
     homogeneous polynomial per degree-two harmonic direction.
+
+    The recursion runs on Gaussian-integer numerators.  Each nonzero term
+    ``s_k`` is held as ``N_k / D_k``, and the self-bracket of degree ``k``,
+    ``sb_k = sum over i + j = k, i <= j of [s_i, s_j]`` (doubled for
+    ``i != j``), is put over ``D_b * L_k`` with ``L_k`` the lcm of the
+    ``D_i * D_j``; then ``s_k = -H sb_k / 2`` is over ``2 D_h D_b L_k`` and
+    the obstructions ``C sb_k`` over ``D_c D_b L_k``, where ``D_b``,
+    ``D_h`` and ``D_c`` clear the denominators of the bracket, the
+    homotopy ``H`` and the harmonic coordinates ``C``.  Every step is an
+    exact integer identity, so each term is the rational one; it is divided
+    by the gcd of its content and converted to polynomials once.
+
+    Let ``last`` be the highest degree with a nonzero term.  Once ``k >
+    2 * last``, every pair ``i + j = k`` has ``j >= k/2 > last``, so the
+    self-bracket of degree ``k`` vanishes and with it ``s_k`` and the
+    obstructions; ``last`` then never grows, so every later degree is zero
+    too.  This is the argument of the termination certificate, and the
+    expansion fills in those degrees without computing them.
     """
-    ring = problem.ring
-    zero = ring.zero()
-    dgla = problem.dgla
+    kernel = problem._series_kernel
+    zero = problem.ring.zero()
+    shift = problem.ring.shift
+    n, h = problem.dgla.dim(1), len(kernel.coordinate_rows)
     series: dict[int, list[MultiPoly]] = {1: list(problem.linear_term)}
     obstructions: dict[int, list[MultiPoly]] = {}
-    homotopy2 = problem.homotopy(2)
+    linear = _numerators(problem.linear_term)
+    terms = {1: linear} if any(linear[1]) else {}  # the nonzero terms
+    last = 1
     for k in range(2, order + 1):
-        self_bracket = [zero] * dgla.dim(2)
-        for i in range(1, k):
-            j = k - i
-            if i > j:
-                break
-            term = dgla.bracket_vectors(1, series[i], 1, series[j], zero=zero)
-            factor = ONE if i == j else GaussianRational(2)
-            self_bracket = [
-                acc + value.scale(factor) for acc, value in zip(self_bracket, term)
-            ]
-        obstructions[k] = _harmonic_poly_coordinates(problem, 2, self_bracket)
-        correction = homotopy2.apply(self_bracket, zero)
-        series[k] = [p.scale(MINUS_HALF) for p in correction]
-        for p in series[k]:
-            if not p.is_zero() and not (
-                p.is_homogeneous() and p.total_degree() == k
-            ):
+        if k > 2 * last:
+            for rest in range(k, order + 1):
+                series[rest] = [zero] * n
+                obstructions[rest] = [zero] * h
+            break
+        pairs = [
+            (terms[i], terms[k - i])
+            for i in range(1, k // 2 + 1)
+            if i in terms and k - i in terms
+        ]
+        bracket = kernel.bracket_sum(pairs)
+        obstructions[k] = kernel.coordinates(bracket)
+        den, rows = kernel.correction(bracket)
+        for row in rows:
+            if any(m >> shift != k for m in row):
                 raise RuntimeError(
                     f"series term of degree {k} is not homogeneous of degree {k}"
                 )
+        series[k] = kernel.polys(den, rows)
+        if any(rows):
+            terms[k] = den, rows
+            last = k
     return series, obstructions
 
 
@@ -248,8 +445,7 @@ def _rational_certificate(
     """
     ring = problem.ring
     zero = ring.zero()
-    dgla = problem.dgla
-    n = dgla.dim(1)
+    n = problem.dgla.dim(1)
     reps = problem.harmonic_reps
     span = EchelonBasis(n)
     seeds = (_delta_bracket(problem, u, v) for a, u in enumerate(reps) for v in reps[a:])
@@ -267,7 +463,8 @@ def _rational_certificate(
             if any(not c.is_zero() for c in _delta_bracket(problem, u, v)):
                 return None
 
-    x1 = problem.linear_term
+    kernel = problem._series_kernel
+    x1 = _numerators(problem.linear_term)
     # forcing term: the series' degree-two term, -1/2 homotopy of [x1, x1]
     forcing_vec = series[2]
     if not span.contains(forcing_vec):
@@ -281,10 +478,9 @@ def _rational_certificate(
         # -homotopy[x1, basis_j]; entries are linear in the parameters
         columns: list[list[MultiPoly]] = []
         for row in basis:
-            row_polys = [ring.constant(c) for c in row]
-            bracket = dgla.bracket_vectors(1, x1, 1, row_polys, zero=zero)
-            image = problem.homotopy(2).apply(bracket, zero)
-            image = [p.scale(GaussianRational(-1)) for p in image]
+            constant = _numerators([ring.constant(c) for c in row])
+            # -1/2 homotopy of the doubled bracket 2[x1, row]: -homotopy[x1, row]
+            image = kernel.polys(*kernel.correction(kernel.bracket_sum([(x1, constant)])))
             if not span.contains(image):
                 return None
             columns.append([image[p] for p in span.pivots])
@@ -313,13 +509,12 @@ def _rational_certificate(
 
     # clear denominators: q^2 * selfbracket(x1 + tail/q)
     q2 = q * q
-    self_bracket = dgla.bracket_vectors(1, x1, 1, x1, zero=zero)
-    br_1n = dgla.bracket_vectors(1, x1, 1, tail_num, zero=zero)
-    br_nn = dgla.bracket_vectors(1, tail_num, 1, tail_num, zero=zero)
-    cleared = [
-        (a * q2) + (b * q).scale(GaussianRational(2)) + c
-        for a, b, c in zip(self_bracket, br_1n, br_nn)
-    ]
+    tail = _numerators(tail_num)
+    # [x1, x1], 2[x1, tail] and [tail, tail]
+    self_bracket, br_1n, br_nn = (
+        kernel.polys(*kernel.bracket_sum([pair])) for pair in ((x1, x1), (x1, tail), (tail, tail))
+    )
+    cleared = [(a * q2) + (b * q) + c for a, b, c in zip(self_bracket, br_1n, br_nn)]
     coords = _harmonic_poly_coordinates(problem, 2, cleared)
     bound = max((p.total_degree() for p in coords), default=0)
     bound = max(bound, 2)

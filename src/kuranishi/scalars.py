@@ -13,7 +13,8 @@ operand returns the other operand (sum) or the shared ``ZERO`` (product),
 which is safe because values are immutable.  Only the public constructor
 parses its arguments.  The parts ``re`` and ``im`` are exact
 ``fractions.Fraction`` values computed on demand; ``triple`` hands the
-normalised integers to code that runs its own integer arithmetic.
+normalised integers to code that runs its own integer arithmetic, and
+``from_triple`` takes its results back through ``_make``.
 Display, the wire form and the hash are those of the pair ``(re, im)``; an
 integral triple hashes as ``(a, b)``, the same value, since an int and the
 equal ``Fraction`` hash alike.
@@ -146,6 +147,15 @@ class GaussianRational:
         if isinstance(value, GaussianRational):
             return value
         return cls(value)
+
+    @classmethod
+    def from_triple(cls, a: int, b: int, d: int) -> "GaussianRational":
+        """The scalar ``(a + b*i)/d`` of ints ``a``, ``b`` and ``d > 0``,
+        normalised by one gcd: the constructor for code that runs its own
+        integer arithmetic and hands back a triple."""
+        if d <= 0:
+            raise ValueError(f"denominator {d} is not positive")
+        return _make(a, b, d)
 
     @classmethod
     def from_json(cls, value: object) -> "GaussianRational":

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_dgla as oracle
-from kuranishi.builders import build_pair_dgla
+from kuranishi.builders import PairDgla, build_pair_dgla
 from kuranishi.catalog import build_catalog_structure
 from kuranishi.config import load_config
 from kuranishi.dgla import Dgla, DglaAxiomError, dgla_axiom_failures, validate_dgla
@@ -84,8 +84,8 @@ def _assert_matches_oracle_at_every_limit(dgla: Dgla) -> list[str]:
 
 
 @functools.lru_cache(maxsize=None)
-def _framed(name: str) -> Dgla:
-    """The rank-1 joint DGLA of ``name`` in a frame mixed by a seeded matrix."""
+def _framed_pair(name: str) -> PairDgla:
+    """The rank-1 DGLAs of ``name`` in a frame mixed by a seeded matrix."""
     rng = random.Random(f"gate-oracle/{name}")
     structure = build_catalog_structure(name)
     while True:
@@ -97,7 +97,12 @@ def _framed(name: str) -> Dgla:
             changed = structure.change_frame(columns)
         except ValueError:
             continue  # singular draw
-        return build_pair_dgla(changed, 1).dgla
+        return build_pair_dgla(changed, 1)
+
+
+def _framed(name: str) -> Dgla:
+    """The rank-1 joint DGLA of ``name`` in a frame mixed by a seeded matrix."""
+    return _framed_pair(name).dgla
 
 
 # -- single-entry mutants ------------------------------------------------------
