@@ -164,7 +164,7 @@ def abelian_preservation_check(
     ring = problem.ring
     split = pair.deformation.dim(1)
     accumulated: dict[tuple[int, int], MultiPoly] = {}
-    for ((i, a), (j, b)), entry in pair.coupling_entries().items():
+    for ((i, a), (j, b)), entry in pair.coupling.items():
         if (i, j) != (1, 1) or a >= split:
             continue
         for name, rep in zip(problem.parameters, problem.harmonic_reps):
@@ -260,47 +260,32 @@ def analyze_structure(
     analyzes the three deformation problems, compares the joint germ with
     the product germ, and issues the splitting verdict.
 
-    With a nonzero ``curvature`` the joint differential couples the blocks,
-    the joint parameters carry no block meaning (they are named ``u1...``),
-    and the splitting comparison is not defined; the block analyses then
-    describe the uncoupled problems only.
+    Without curvature the joint parameters are the deformation parameters
+    followed by the endomorphism ones, by position, which is how the
+    product germ embeds the block germs.  With a nonzero ``curvature`` the
+    joint differential couples the blocks, the joint parameters carry no
+    block meaning (they are named ``u1...``), and there is no product germ,
+    so :func:`assess_splitting` returns ``Inconclusive``; the block analyses
+    then describe the uncoupled problems only.
     """
     pair = build_pair_dgla(structure, rank, curvature=curvature)
     d_problem = kuranishi_problem(pair.deformation, prefix="t", pivot_rule=pivot_rule)
     e_problem = kuranishi_problem(
         pair.endomorphism, prefix="s", pivot_rule=pivot_rule
     )
-    if pair.has_curvature():
-        j_problem = kuranishi_problem(pair.dgla, prefix="u", pivot_rule=pivot_rule)
-    else:
-        joint_names = list(d_problem.parameters) + list(e_problem.parameters)
-        j_problem = kuranishi_problem(
-            pair.dgla, joint_names, pivot_rule=pivot_rule
-        )
+    curved = pair.has_curvature()
+    joint_names = None if curved else d_problem.parameters + e_problem.parameters
+    j_problem = kuranishi_problem(pair.dgla, joint_names, prefix="u", pivot_rule=pivot_rule)
 
     deformation = _block("deformation", pair.deformation, d_problem, truncation)
     endomorphism = _block("endomorphism", pair.endomorphism, e_problem, truncation)
     joint = _block("joint", pair.dgla, j_problem, truncation)
 
-    if pair.has_curvature():
-        product_germ = None
-        coupling_zero = False
-        splitting = SplittingAssessment(
-            verdict="Inconclusive",
-            reason=(
-                "the curvature couples the blocks through the differential, "
-                "so there is no canonical block split to compare against"
-            ),
-            ideal_comparison="unknown",
-        )
-    else:
-        product_germ = product_of_germs(
-            j_problem.ring, deformation.germ, endomorphism.germ
-        )
-        coupling_zero = pair.coupling_is_zero()
-        splitting = assess_splitting(
-            joint.germ, product_germ, coupling_is_zero=coupling_zero
-        )
+    product_germ = None
+    if not curved:
+        product_germ = product_of_germs(j_problem.ring, deformation.germ, endomorphism.germ)
+    coupling_zero = pair.coupling_is_zero()
+    splitting = assess_splitting(joint.germ, product_germ, coupling_is_zero=coupling_zero)
     classification = structure.classify()
     abelian = abelian_preservation_check(
         structure, pair, d_problem, deformation.series.series
@@ -309,7 +294,7 @@ def analyze_structure(
         classification,
         deformation.series,
         endomorphism.series,
-        None if pair.has_curvature() else joint.series,
+        None if curved else joint.series,
     )
     return StructureAnalysis(
         classification=classification,

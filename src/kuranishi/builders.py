@@ -27,6 +27,7 @@ validated against the full set of DGLA axioms and aborts on failure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -193,21 +194,22 @@ class PairDgla:
     def has_curvature(self) -> bool:
         return bool(self.curvature)
 
-    def coupling_entries(self) -> BracketTable:
-        """All bracket entries that pair the two blocks."""
-        out = {}
-        for (key_a, key_b), entry in self.dgla.brackets.items():
-            in_left = (
-                key_a[1] < self.deformation.dim(key_a[0]),
-                key_b[1] < self.deformation.dim(key_b[0]),
-            )
-            if in_left[0] != in_left[1]:
-                out[(key_a, key_b)] = dict(entry)
-        return out
+    @functools.cached_property
+    def coupling(self) -> BracketTable:
+        """All bracket entries that pair the two blocks, found on first use.
+
+        The entries are the joint table's own dicts: read, never change them.
+        """
+        split = self.deformation.dim
+        return {
+            (key_a, key_b): entry
+            for (key_a, key_b), entry in self.dgla.brackets.items()
+            if (key_a[1] < split(key_a[0])) != (key_b[1] < split(key_b[0]))
+        }
 
     def coupling_is_zero(self) -> bool:
         """Whether the blocks interact at all (brackets and differential)."""
-        return not self.has_curvature() and not self.coupling_entries()
+        return not self.has_curvature() and not self.coupling
 
 
 def _normalize_curvature(

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .dgla import Dgla, HodgeDegree, hodge_decomposition, integer_view
@@ -63,10 +62,6 @@ __all__ = [
     "kuranishi_problem",
     "product_of_germs",
 ]
-
-#: the factor of the series recursion ``s_k = -1/2 H sb_k``; the frozen
-#: test oracles expand with it
-MINUS_HALF = GaussianRational(Fraction(-1, 2))
 
 #: node budget of the leaf decomposition in the germ decision tree
 LEAF_BUDGET = 200
@@ -146,19 +141,6 @@ IntPoly = dict[int, tuple[int, int]]
 
 #: ``(D, rows)``: the vector of polynomials ``rows[c] / D``, with ``D > 0``.
 IntVector = tuple[int, list[IntPoly]]
-
-
-def _vector_is_zero(vec: Sequence[MultiPoly]) -> bool:
-    return all(p.is_zero() for p in vec)
-
-
-def _harmonic_poly_coordinates(
-    problem: KuranishiProblem, degree: int, vec: Sequence[MultiPoly]
-) -> list[MultiPoly]:
-    record = problem.hodge.get(degree)
-    if record is None or not record.harmonic:
-        return []
-    return list(record.harmonic_coordinates.apply(vec, problem.ring.zero()))
 
 
 def _matrix_view(matrix: ExactMatrix) -> tuple[int, list[list[tuple[int, int, int]]]]:
@@ -507,15 +489,16 @@ def _rational_certificate(
                 if not entry.is_zero():
                     tail_num[i] = tail_num[i] + coeff.scale(entry)
 
-    # clear denominators: q^2 * selfbracket(x1 + tail/q)
+    # clear denominators: q^2 * selfbracket(x1 + tail/q); the harmonic
+    # coordinates are linear, so they are taken of each bracket
     q2 = q * q
     tail = _numerators(tail_num)
     # [x1, x1], 2[x1, tail] and [tail, tail]
     self_bracket, br_1n, br_nn = (
-        kernel.polys(*kernel.bracket_sum([pair])) for pair in ((x1, x1), (x1, tail), (tail, tail))
+        kernel.coordinates(kernel.bracket_sum([pair]))
+        for pair in ((x1, x1), (x1, tail), (tail, tail))
     )
-    cleared = [(a * q2) + (b * q) + c for a, b, c in zip(self_bracket, br_1n, br_nn)]
-    coords = _harmonic_poly_coordinates(problem, 2, cleared)
+    coords = [(a * q2) + (b * q) + c for a, b, c in zip(self_bracket, br_1n, br_nn)]
     bound = max((p.total_degree() for p in coords), default=0)
     bound = max(bound, 2)
     q2_parts = q2.homogeneous_components()
@@ -556,20 +539,13 @@ class SeriesAnalysis:
     series: dict[int, list[MultiPoly]]
     obstructions_by_degree: dict[int, list[MultiPoly]]
     generators: list[MultiPoly]
-    exact: bool
     certificate: str | None
-    certificate_data: dict = field(default_factory=dict)
+    certificate_data: dict
 
     @property
-    def ring(self) -> PolyRing:
-        return self.problem.ring
-
-    def last_nonzero_order(self) -> int:
-        last = 1
-        for k, vec in self.series.items():
-            if k >= 2 and not _vector_is_zero(vec):
-                last = max(last, k)
-        return last
+    def exact(self) -> bool:
+        """Whether a certificate proves the generators cut out the ideal."""
+        return self.certificate is not None
 
 
 def _collect_generators(
@@ -595,56 +571,44 @@ def analyze_obstructions(
 ) -> SeriesAnalysis:
     """Expand the series and certify the obstruction ideal when possible.
 
-    Certificates are attempted in a fixed order: termination by doubling
-    (the series vanishes beyond half the computed order), bracket closure
-    (all obstructions vanish identically), then the rational fixed point.
-    When none applies the analysis is an honest truncation: ``exact`` is
-    False and the generator list only reflects obstructions up to the
-    truncation order.
+    Certificates are attempted in a fixed order, and the first that applies
+    picks the obstruction table and the degree up to which its generators
+    are collected: termination by doubling (the series vanishes beyond half
+    the computed order; the series' own obstructions up to twice the last
+    nonzero degree), bracket closure (all obstructions vanish identically;
+    no generator), then the rational fixed point (its own table up to its
+    degree bound).  When none applies the analysis is an honest
+    truncation: ``certificate`` is None, so ``exact`` is False, and the
+    generators only reflect obstructions up to the truncation order.
     """
     order = truncation if truncation is not None else default_truncation_order(problem)
     order = max(order, 2)
     series, obstructions = expand_series(problem, order)
-    analysis = SeriesAnalysis(
+    last = max((k for k, vec in series.items() if any(vec)), default=1)
+    if 2 * last <= order:
+        certificate, data, table, cutoff = (
+            "termination", {"terminationOrder": last}, obstructions, 2 * last
+        )
+    elif (closure := _closure_certificate(problem)) is not None:
+        if any(any(row) for row in obstructions.values()):
+            raise RuntimeError(
+                "bracket-closure certificate contradicts a computed obstruction"
+            )
+        certificate, data, table, cutoff = "bracket-closure", closure, {}, order
+    elif (rational := _rational_certificate(problem, series, obstructions)) is not None:
+        data, table = rational
+        certificate, cutoff = "rational-fixed-point", data["degreeBound"]
+    else:
+        certificate, data, table, cutoff = None, {}, obstructions, order
+    return SeriesAnalysis(
         problem=problem,
         truncation_order=order,
         series=series,
         obstructions_by_degree=obstructions,
-        generators=[],
-        exact=False,
-        certificate=None,
+        generators=_collect_generators(table, cutoff),
+        certificate=certificate,
+        certificate_data=data,
     )
-    last = analysis.last_nonzero_order()
-    if 2 * last <= order:
-        analysis.exact = True
-        analysis.certificate = "termination"
-        analysis.certificate_data = {"terminationOrder": last}
-        analysis.generators = _collect_generators(obstructions, 2 * last)
-        return analysis
-    closure = _closure_certificate(problem)
-    if closure is not None:
-        for k, row in obstructions.items():
-            if any(not p.is_zero() for p in row):
-                raise RuntimeError(
-                    "bracket-closure certificate contradicts a computed obstruction"
-                )
-        analysis.exact = True
-        analysis.certificate = "bracket-closure"
-        analysis.certificate_data = closure
-        analysis.generators = []
-        return analysis
-    rational = _rational_certificate(problem, series, obstructions)
-    if rational is not None:
-        data, table = rational
-        analysis.exact = True
-        analysis.certificate = "rational-fixed-point"
-        analysis.certificate_data = data
-        analysis.generators = _collect_generators(table, data["degreeBound"])
-        return analysis
-    analysis.exact = False
-    analysis.certificate = None
-    analysis.generators = _collect_generators(obstructions, order)
-    return analysis
 
 
 # -- germ invariants ----------------------------------------------------------
@@ -855,7 +819,7 @@ class SplittingAssessment:
 
 def assess_splitting(
     joint_germ: GermInvariants,
-    product_germ: GermInvariants,
+    product_germ: GermInvariants | None,
     *,
     coupling_is_zero: bool,
 ) -> SplittingAssessment:
@@ -863,7 +827,10 @@ def assess_splitting(
 
     The ideals are compared through the germs' reduced Groebner bases, which
     are unique, so equal ideals have equal bases; the comparison is
-    ``unknown`` when either ideal is an uncertified truncation.
+    ``unknown`` when either ideal is an uncertified truncation.  A
+    ``product_germ`` of None means the blocks have no canonical split: a
+    curvature couples them through the differential, so there is nothing to
+    compare against and the verdict is inconclusive.
 
     Priority: a vanishing coupling splits by direct sum outright; certified
     equality of the joint ideal with the sum of the block ideals certifies
@@ -872,60 +839,52 @@ def assess_splitting(
     non-splitting; anything else is inconclusive.
     """
     comparison = "unknown"
-    if joint_germ.basis is not None and product_germ.basis is not None:
-        equal = joint_germ.basis == product_germ.basis
-        comparison = "equal" if equal else "different"
-    if coupling_is_zero:
-        return SplittingAssessment(
-            verdict="SplitsByDirectSum",
-            reason="the coupling bracket between the blocks vanishes identically",
-            ideal_comparison=comparison,
+    if (
+        product_germ is not None
+        and joint_germ.basis is not None
+        and product_germ.basis is not None
+    ):
+        comparison = "equal" if joint_germ.basis == product_germ.basis else "different"
+    if product_germ is None:
+        verdict, reason = "Inconclusive", (
+            "the curvature couples the blocks through the differential, "
+            "so there is no canonical block split to compare against"
         )
-    if comparison == "equal":
-        return SplittingAssessment(
-            verdict="SplitsAfterReparameterization",
-            reason="the joint obstruction ideal equals the sum of the block ideals",
-            ideal_comparison=comparison,
+    elif coupling_is_zero:
+        verdict, reason = "SplitsByDirectSum", (
+            "the coupling bracket between the blocks vanishes identically"
         )
-    if comparison == "different":
-        if (
-            joint_germ.smooth is not None
-            and product_germ.smooth is not None
-            and joint_germ.smooth != product_germ.smooth
-        ):
-            joint_word = "smooth" if joint_germ.smooth else "singular"
-            product_word = "smooth" if product_germ.smooth else "singular"
-            return SplittingAssessment(
-                verdict="DoesNotSplit",
-                reason=(
-                    f"the joint germ is {joint_word} while the product of the "
-                    f"block germs is {product_word}"
-                ),
-                ideal_comparison=comparison,
-            )
-        if (
-            joint_germ.smooth is True
-            and product_germ.smooth is True
-            and joint_germ.dimension != product_germ.dimension
-        ):
-            return SplittingAssessment(
-                verdict="DoesNotSplit",
-                reason=(
-                    f"both germs are smooth with different dimensions "
-                    f"({joint_germ.dimension} against {product_germ.dimension})"
-                ),
-                ideal_comparison=comparison,
-            )
-        return SplittingAssessment(
-            verdict="Inconclusive",
-            reason=(
-                "the ideals differ in the given coordinates but no computed "
-                "invariant distinguishes the germs"
-            ),
-            ideal_comparison=comparison,
+    elif comparison == "equal":
+        verdict, reason = "SplitsAfterReparameterization", (
+            "the joint obstruction ideal equals the sum of the block ideals"
+        )
+    elif comparison == "unknown":
+        verdict, reason = "Inconclusive", (
+            "exactness of an obstruction ideal could not be certified"
+        )
+    elif None not in (joint_germ.smooth, product_germ.smooth) and (
+        joint_germ.smooth != product_germ.smooth
+    ):
+        joint_word = "smooth" if joint_germ.smooth else "singular"
+        product_word = "smooth" if product_germ.smooth else "singular"
+        verdict, reason = "DoesNotSplit", (
+            f"the joint germ is {joint_word} while the product of the "
+            f"block germs is {product_word}"
+        )
+    elif (
+        joint_germ.smooth is True
+        and product_germ.smooth is True
+        and joint_germ.dimension != product_germ.dimension
+    ):
+        verdict, reason = "DoesNotSplit", (
+            f"both germs are smooth with different dimensions "
+            f"({joint_germ.dimension} against {product_germ.dimension})"
+        )
+    else:
+        verdict, reason = "Inconclusive", (
+            "the ideals differ in the given coordinates but no computed "
+            "invariant distinguishes the germs"
         )
     return SplittingAssessment(
-        verdict="Inconclusive",
-        reason="exactness of an obstruction ideal could not be certified",
-        ideal_comparison=comparison,
+        verdict=verdict, reason=reason, ideal_comparison=comparison
     )

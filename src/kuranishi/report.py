@@ -75,7 +75,7 @@ def build_report(config: AnalysisConfig, result: StructureAnalysis) -> dict:
         "blocks": blocks,
         "coupling": {
             "isZero": result.coupling_is_zero,
-            "bracketEntryCount": len(result.pair.coupling_entries()),
+            "bracketEntryCount": len(result.pair.coupling),
             "curvature": result.pair.has_curvature(),
         },
         "productGerm": product_germ,

@@ -7,21 +7,35 @@ and the closure route bracketed every pair of the saturated span a second
 time for its harmonic check.  The worklist routes in ``kuranishi.engine``
 replaced them; ``test_hodge_oracle`` compares the full return values.
 
+``MINUS_HALF`` and ``_harmonic_poly_coordinates`` were imported from the
+engine; they are copied here verbatim, so that no engine edit changes this
+reference.  Nothing else changed.
+
 Frozen at creation; do not edit when changing the engine.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from kuranishi.engine import (
-    MINUS_HALF,
-    KuranishiProblem,
-    _harmonic_poly_coordinates,
-)
+from kuranishi.engine import KuranishiProblem
 from kuranishi.linalg import EchelonBasis, Vector
 from kuranishi.poly import MultiPoly, poly_matrix_det
 from kuranishi.scalars import GaussianRational, ONE
+
+
+#: the factor of the series recursion ``s_k = -1/2 H sb_k``
+MINUS_HALF = GaussianRational(Fraction(-1, 2))
+
+
+def _harmonic_poly_coordinates(
+    problem: KuranishiProblem, degree: int, vec: Sequence[MultiPoly]
+) -> list[MultiPoly]:
+    record = problem.hodge.get(degree)
+    if record is None or not record.harmonic:
+        return []
+    return list(record.harmonic_coordinates.apply(vec, problem.ring.zero()))
 
 
 def _delta_bracket(

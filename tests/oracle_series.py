@@ -7,18 +7,34 @@ coordinates as ``ExactMatrix`` products, and expanded every degree up to
 the truncation order.  The fraction-free kernel in ``kuranishi.engine``
 replaced it; ``test_series_oracle`` compares ``(series, obstructions)``.
 
+``MINUS_HALF`` and ``_harmonic_poly_coordinates`` were imported from the
+engine; they are copied here verbatim, so that no engine edit changes this
+reference.  Nothing else changed.
+
 Frozen at creation; do not edit when changing the engine.
 """
 
 from __future__ import annotations
 
-from kuranishi.engine import (
-    MINUS_HALF,
-    KuranishiProblem,
-    _harmonic_poly_coordinates,
-)
+from fractions import Fraction
+from typing import Sequence
+
+from kuranishi.engine import KuranishiProblem
 from kuranishi.poly import MultiPoly
 from kuranishi.scalars import GaussianRational, ONE
+
+
+#: the factor of the series recursion ``s_k = -1/2 H sb_k``
+MINUS_HALF = GaussianRational(Fraction(-1, 2))
+
+
+def _harmonic_poly_coordinates(
+    problem: KuranishiProblem, degree: int, vec: Sequence[MultiPoly]
+) -> list[MultiPoly]:
+    record = problem.hodge.get(degree)
+    if record is None or not record.harmonic:
+        return []
+    return list(record.harmonic_coordinates.apply(vec, problem.ring.zero()))
 
 
 def expand_series(

@@ -137,7 +137,7 @@ def test_parallelizable_pair_splits_by_direct_sum():
     result = _analyzed("iwasawa")
     assert result.classification["parallelizable"] is True
 
-    assert result.pair.coupling_entries() == {}
+    assert result.pair.coupling == {}
     assert not result.pair.has_curvature()
     assert result.coupling_is_zero is True
     assert result.splitting.verdict == "SplitsByDirectSum"

@@ -52,7 +52,7 @@ def _outcome(build, structure, rank, curvature=None):
         pair.dgla,
         pair.deformation,
         pair.endomorphism,
-        pair.coupling_entries(),
+        pair.coupling_entries() if build is oracle.build_pair_dgla else pair.coupling,
         pair.rank,
         pair.curvature,
     )

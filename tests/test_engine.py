@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from kuranishi import engine
 from kuranishi.analysis import analyze_structure, describe_vector
 from kuranishi.builders import build_pair_dgla
+from kuranishi.config import load_config
 from kuranishi.dgla import Dgla, validate_dgla
 from kuranishi.engine import (
     analyze_obstructions,
@@ -33,6 +34,7 @@ from kuranishi.linalg import ExactMatrix
 from kuranishi.poly import PolyRing
 from kuranishi.scalars import GaussianRational as G, ONE, ZERO
 
+from test_abelian_oracle import _frames_documents
 from test_lie import example1_structure, example2_structure, iwasawa_structure
 from test_builders import torus_structure
 
@@ -151,7 +153,7 @@ def test_example1_deformation_closure_certificate():
     ]
     analysis = block.series
     # the series itself never terminates inside the computed window ...
-    assert 2 * analysis.last_nonzero_order() > analysis.truncation_order
+    assert 2 * max(k for k, vec in analysis.series.items() if any(vec)) > analysis.truncation_order
     labels = block.dgla.basis[1]
     x2 = {labels[i]: str(p) for i, p in enumerate(analysis.series[2]) if not p.is_zero()}
     assert x2 == {"a1*W2": "(2*i)*t2*t4"}
@@ -364,6 +366,20 @@ def test_splitting_compares_the_germ_bases():
         "SplitsByDirectSum",
         "unknown",
     )
+    line = germ_invariants(ring, [x])
+    space = germ_invariants(ring, [])
+    dimensions = assess_splitting(line, space, coupling_is_zero=False)
+    assert (dimensions.verdict, dimensions.ideal_comparison) == (
+        "DoesNotSplit",
+        "different",
+    )
+    assert "(2 against 3)" in dimensions.reason
+    curved = assess_splitting(node, None, coupling_is_zero=False)
+    assert (curved.verdict, curved.ideal_comparison) == ("Inconclusive", "unknown")
+    assert curved.reason == (
+        "the curvature couples the blocks through the differential, "
+        "so there is no canonical block split to compare against"
+    )
 
 
 def test_product_of_germs_sorts_the_union_of_the_block_bases():
@@ -394,6 +410,34 @@ def test_product_germ_matches_a_germ_of_the_embedded_generators(name):
     product = product_of_germs(ring, truncated, result.endomorphism.germ)
     assert product.basis is None
     assert product.method == "truncated"
+
+
+LAYOUT_DOCUMENTS = {
+    **{
+        f"{name}-r{rank}": {"catalog": name, "bundleRank": rank}
+        for name in ("example1", "example2", "iwasawa", "torus", "n3", "n8", "n9")
+        for rank in (1, 2)
+    },
+    **_frames_documents(),
+}
+
+
+@pytest.mark.parametrize("rule", ["earliest", "latest"])
+@pytest.mark.parametrize("name", sorted(LAYOUT_DOCUMENTS))
+def test_joint_parameters_are_the_block_parameters_in_block_layout(name, rule):
+    """The product germ embeds the block germs by parameter name, so the
+    joint harmonic representatives must be the deformation ones, zero-padded,
+    followed by the endomorphism ones, shifted past the deformation block."""
+    config = load_config(LAYOUT_DOCUMENTS[name])
+    result = analyze_structure(config.structure, rank=config.rank, pivot_rule=rule)
+    d_problem, e_problem = result.deformation.problem, result.endomorphism.problem
+    assert result.joint.problem.parameters == d_problem.parameters + e_problem.parameters
+    d_pad = (ZERO,) * result.pair.endomorphism.dim(1)
+    e_pad = (ZERO,) * result.pair.deformation.dim(1)
+    assert [tuple(rep) for rep in result.joint.problem.harmonic_reps] == (
+        [tuple(rep) + d_pad for rep in d_problem.harmonic_reps]
+        + [e_pad + tuple(rep) for rep in e_problem.harmonic_reps]
+    )
 
 
 # -- germ decision tree on hand-picked ideals ----------------------------------

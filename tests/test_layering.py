@@ -63,3 +63,14 @@ def test_only_scalars_reads_the_scalar_slots() -> None:
         if isinstance(node, ast.Attribute) and node.attr in ("_a", "_b", "_d")
     ]
     assert reads == []
+
+
+def test_frozen_oracles_import_no_private_name() -> None:
+    """A frozen oracle is the reference for a rewritten function; importing
+    a private helper of the package would let an engine edit change it."""
+    tests = Path(__file__).resolve().parent
+    imports = {
+        path.name: _private_imports(path.read_text())
+        for path in sorted(tests.glob("oracle_*.py"))
+    }
+    assert imports and all(found == [] for found in imports.values()), imports
