@@ -19,7 +19,8 @@ Given a DGLA built by :mod:`kuranishi.builders`, this module
 * certifies exactness of the resulting obstruction ideal by one of three
   routes (termination doubling, bracket closure of the harmonic span, or a
   rational fixed point for the correction tail), falling back to an honest
-  truncation that refuses to certify;
+  truncation that refuses to certify; both span routes evaluate their
+  brackets on the same integer views as the series;
 * decides smoothness of the resulting cone germ through a decision tree
   whose workhorse is a budgeted decomposition of the variety into linear
   leaves;
@@ -40,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .dgla import Dgla, HodgeDegree, hodge_decomposition, integer_view
 from .groebner import minimalize_generators, normal_form, reduced_groebner_basis
-from .linalg import EchelonBasis, ExactMatrix, Vector, rref
+from .linalg import EchelonBasis, ExactMatrix, Vector
 from .poly import (
     MultiPoly,
     PolyRing,
@@ -48,7 +49,7 @@ from .poly import (
     pure_linear_power,
     quadric_split,
 )
-from .scalars import GaussianRational
+from .scalars import ZERO, GaussianRational
 
 __all__ = [
     "GermInvariants",
@@ -205,7 +206,7 @@ def _content_reduced(den: int, rows: list[IntPoly]) -> IntVector:
 
 
 class _SeriesKernel:
-    """Integer views of the maps that the series recursion applies.
+    """Integer views of the maps that the series and the certificates apply.
 
     ``brackets`` lists the degree-one bracket entries ``[e_a, e_b]`` with
     ``a <= b`` as ``(a, b, [(c, x, y), ...])``, over ``D_b``.  The bracket
@@ -214,7 +215,7 @@ class _SeriesKernel:
     and carries a factor 2.  ``correction_rows`` are the rows of ``-H``,
     the negated homotopy ``L^2 -> L^1``, over ``D_h``, and
     ``coordinate_rows`` those of the harmonic coordinates of degree two,
-    over ``D_c``.
+    over ``D_c``, and ``linear`` is the linear term of the series.
     """
 
     def __init__(self, problem: KuranishiProblem) -> None:
@@ -237,6 +238,17 @@ class _SeriesKernel:
         self.coordinate_scale, self.coordinate_rows = _matrix_view(
             record.harmonic_coordinates if record is not None else ExactMatrix([], ncols=0)
         )
+        self.linear = _numerators(problem.linear_term)
+
+    def constant(self, vec: Sequence[GaussianRational]) -> IntVector:
+        """The scalar vector ``vec`` as polynomials of degree zero."""
+        return _numerators([self.ring.constant(c) for c in vec])
+
+    @staticmethod
+    def scalars(vec: IntVector) -> list[GaussianRational]:
+        """The constant vector ``vec`` as scalars."""
+        den, rows = vec
+        return [GaussianRational.from_triple(*row[0], den) if row else ZERO for row in rows]
 
     def polys(self, den: int, rows: list[IntPoly]) -> list[MultiPoly]:
         ring, make = self.ring, GaussianRational.from_triple
@@ -293,6 +305,13 @@ class _SeriesKernel:
         den, rows = bracket
         return self.polys(self.coordinate_scale * den, _apply(self.coordinate_rows, rows))
 
+    def delta(self, u: IntVector, v: IntVector) -> IntVector:
+        """``correction(bracket_sum([(u, v)]))``: ``-H[u, v]`` when ``u`` is
+        not ``v`` and ``-1/2 H[u, u]`` when it is, so always a nonzero
+        multiple of ``H[u, v]``.  A span of such vectors, and whether one
+        vanishes, do not depend on that factor."""
+        return self.correction(self.bracket_sum([(u, v)]))
+
 
 def expand_series(
     problem: KuranishiProblem, order: int
@@ -329,7 +348,7 @@ def expand_series(
     n, h = problem.dgla.dim(1), len(kernel.coordinate_rows)
     series: dict[int, list[MultiPoly]] = {1: list(problem.linear_term)}
     obstructions: dict[int, list[MultiPoly]] = {}
-    linear = _numerators(problem.linear_term)
+    linear = kernel.linear
     terms = {1: linear} if any(linear[1]) else {}  # the nonzero terms
     last = 1
     for k in range(2, order + 1):
@@ -361,15 +380,6 @@ def expand_series(
 # -- exactness certificates ---------------------------------------------------
 
 
-def _delta_bracket(
-    problem: KuranishiProblem,
-    u: Sequence[GaussianRational],
-    v: Sequence[GaussianRational],
-) -> Vector:
-    bracket = problem.dgla.bracket_vectors(1, list(u), 1, list(v))
-    return problem.homotopy(2).apply(bracket)
-
-
 def _closure_certificate(problem: KuranishiProblem) -> dict | None:
     """Bracket-closure certificate: every obstruction vanishes identically.
 
@@ -381,24 +391,22 @@ def _closure_certificate(problem: KuranishiProblem) -> dict | None:
     each vector before it (the degree-one bracket is symmetric).  The list
     spans the saturated span and the bracket is bilinear, so these brackets
     decide both the closure and the harmonic check, which returns None at
-    the first nonzero harmonic coordinate.
+    the first nonzero harmonic coordinate.  The series kernel evaluates
+    the brackets; its factor 2 on a distinct pair changes neither check.
     """
-    dgla = problem.dgla
-    delta = problem.homotopy(2)
-    record = problem.hodge.get(2)
+    kernel = problem._series_kernel
+    reps = problem.harmonic_reps
     # the harmonic representatives are independent, so each grows the span
-    found = list(problem.harmonic_reps)
-    span = EchelonBasis(dgla.dim(1), found)
+    span = EchelonBasis(problem.dgla.dim(1), reps)
+    found = [kernel.constant(rep) for rep in reps]
     # ``found`` grows while it is walked; each new vector is walked in turn
     for k, u in enumerate(found):
         for v in found[: k + 1]:
-            bracket = dgla.bracket_vectors(1, u, 1, v)
-            if record is not None and any(
-                not c.is_zero() for c in record.harmonic_coordinates.apply(bracket)
-            ):
+            bracket = kernel.bracket_sum([(u, v)])
+            if any(kernel.coordinates(bracket)):
                 return None
-            image = delta.apply(bracket)
-            if span.add(image):
+            image = kernel.correction(bracket)
+            if span.add(kernel.scalars(image)):
                 found.append(image)
     return {"spanDimension": len(found)}
 
@@ -420,39 +428,40 @@ def _rational_certificate(
     parameter field, the obstruction generating function times ``q**2``
     (``q`` the system determinant, ``q(0) = 1``) is a polynomial of some
     degree ``D``, and a recurrence shows all obstructions above degree
-    ``D`` are redundant.
+    ``D`` are redundant.  Every bracket is evaluated on the series kernel,
+    whose ``delta`` is a nonzero multiple of ``H[u, v]``, so it spans what
+    the homotopy-corrected brackets span.
 
     Returns certificate metadata plus the complete obstruction table up to
     degree ``D``, or None when the route does not apply.
     """
     ring = problem.ring
-    zero = ring.zero()
     n = problem.dgla.dim(1)
-    reps = problem.harmonic_reps
+    kernel = problem._series_kernel
+    reps = [kernel.constant(rep) for rep in problem.harmonic_reps]
     span = EchelonBasis(n)
-    seeds = (_delta_bracket(problem, u, v) for a, u in enumerate(reps) for v in reps[a:])
-    found = [w for w in seeds if span.add(w)]
+    seeds = (kernel.delta(u, v) for a, u in enumerate(reps) for v in reps[a:])
+    found = [w for w in seeds if span.add(kernel.scalars(w))]
     # ``found`` grows while it is walked; each new vector is walked in turn
     for w in found:
         for rep in reps:
-            image = _delta_bracket(problem, rep, w)
-            if span.add(image):
+            image = kernel.delta(rep, w)
+            if span.add(kernel.scalars(image)):
                 found.append(image)
-    basis = [list(row) for row in span.rows]
+    basis = [kernel.constant(row) for row in span.rows]
     width = len(basis)
     for a, u in enumerate(basis):
         for v in basis[a:]:
-            if any(not c.is_zero() for c in _delta_bracket(problem, u, v)):
+            if any(kernel.delta(u, v)[1]):
                 return None
 
-    kernel = problem._series_kernel
-    x1 = _numerators(problem.linear_term)
+    x1 = kernel.linear
     # forcing term: the series' degree-two term, -1/2 homotopy of [x1, x1]
     forcing_vec = series[2]
     if not span.contains(forcing_vec):
         return None
     if width == 0:
-        tail_num = [zero] * n
+        tail = 1, [{} for _ in range(n)]
         q = ring.one()
     else:
         forcing = [forcing_vec[p] for p in span.pivots]
@@ -460,9 +469,8 @@ def _rational_certificate(
         # -homotopy[x1, basis_j]; entries are linear in the parameters
         columns: list[list[MultiPoly]] = []
         for row in basis:
-            constant = _numerators([ring.constant(c) for c in row])
             # -1/2 homotopy of the doubled bracket 2[x1, row]: -homotopy[x1, row]
-            image = kernel.polys(*kernel.correction(kernel.bracket_sum([(x1, constant)])))
+            image = kernel.polys(*kernel.delta(x1, row))
             if not span.contains(image):
                 return None
             columns.append([image[p] for p in span.pivots])
@@ -483,16 +491,14 @@ def _rational_certificate(
                 for i in range(width)
             ]
             numerators.append(poly_matrix_det(replaced))
-        tail_num = [zero] * n
-        for coeff, row in zip(numerators, basis):
-            for i, entry in enumerate(row):
-                if not entry.is_zero():
-                    tail_num[i] = tail_num[i] + coeff.scale(entry)
+        # the tail numerator: the sum of numerators[c] * basis[c]
+        scale, basis_view = _matrix_view(ExactMatrix.from_columns(span.rows))
+        den, rows = _numerators(numerators)
+        tail = scale * den, _apply(basis_view, rows)
 
     # clear denominators: q^2 * selfbracket(x1 + tail/q); the harmonic
     # coordinates are linear, so they are taken of each bracket
     q2 = q * q
-    tail = _numerators(tail_num)
     # [x1, x1], 2[x1, tail] and [tail, tail]
     self_bracket, br_1n, br_nn = (
         kernel.coordinates(kernel.bracket_sum([pair]))
@@ -637,9 +643,7 @@ def _quadric_rank(ring: PolyRing, generators: Sequence[MultiPoly]) -> int:
         if quadric.is_zero():
             continue
         rows.extend(quadric.quadratic_symmetric_matrix())
-    if not rows:
-        return 0
-    return len(rref(ExactMatrix(rows, ncols=ring.nvars))[1])
+    return len(EchelonBasis(ring.nvars, rows).pivots)
 
 
 def _is_linear_basis(basis: Sequence[MultiPoly]) -> bool:

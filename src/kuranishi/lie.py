@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import ExactMatrix, inverse, kernel_basis, rref
+from .linalg import EchelonBasis, ExactMatrix, Vector, inverse, kernel_basis, rref
 from .scalars import GaussianRational, ONE, ZERO, parse_rational
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "JacobiError",
     "parse_salamon",
 ]
-
-Vector = tuple[GaussianRational, ...]
 
 
 class JacobiError(ValueError):
@@ -137,26 +135,18 @@ class LieAlgebra:
     def lower_central_series(self) -> list[int]:
         """Dimensions of g = g^1 >= g^2 = [g, g^1] >= ... down to 0 (0 excluded)."""
         dims = [self.dim]
-        current: list[Vector] = [
-            tuple(ONE if t == i else ZERO for t in range(self.dim))
-            for i in range(self.dim)
-        ]
+        units = [tuple(ONE if t == i else ZERO for t in range(self.dim)) for i in range(self.dim)]
+        current = units
         while True:
-            produced: list[Vector] = []
-            for i in range(self.dim):
-                basis_vec = tuple(ONE if t == i else ZERO for t in range(self.dim))
+            span = EchelonBasis(self.dim)
+            for unit in units:
                 for x in current:
-                    w = self.bracket_vectors(basis_vec, x)
-                    if any(not v.is_zero() for v in w):
-                        produced.append(w)
-            if not produced:
-                return dims
-            reduced, pivots = rref(ExactMatrix([list(v) for v in produced]))
-            rank = len(pivots)
+                    span.add(self.bracket_vectors(unit, x))
+            rank = len(span.pivots)
             if rank == 0:
                 return dims
             dims.append(rank)
-            current = [tuple(reduced.rows[r]) for r in range(rank)]
+            current = span.rows
             if rank == dims[-2]:
                 # series stalled at a nonzero term: not nilpotent
                 dims.append(-1)

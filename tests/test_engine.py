@@ -593,6 +593,32 @@ def test_terminating_series_stays_zero_beyond_the_window(name):
         assert all(c.is_zero() for c in extended[k])
 
 
+@pytest.mark.parametrize("name", sorted(LAYOUT_DOCUMENTS))
+def test_kernel_scalar_entry_matches_the_reference_maps(name):
+    """On scalar vectors the series kernel's delta(u, v) is -H[u, v] for
+    distinct operands and -1/2 H[u, u] for one, so it is zero exactly when
+    H[u, v] is; its harmonic coordinates of the bracket sum are 2 C[u, v]
+    and C[u, u].  H, C and the bracket are taken on the scalar path."""
+    config = load_config(LAYOUT_DOCUMENTS[name])
+    pair = build_pair_dgla(config.structure, config.rank)
+    for dgla in (pair.deformation, pair.endomorphism, pair.dgla):
+        problem = kuranishi_problem(dgla)
+        kernel = problem._series_kernel
+        record = problem.hodge.get(2)
+        reps = problem.harmonic_reps
+        views = [kernel.constant(rep) for rep in reps]
+        for a, (u, view_u) in enumerate(zip(reps, views)):
+            for v, view_v in zip(reps[a:], views[a:]):
+                same = view_v is view_u
+                bracket = dgla.bracket_vectors(1, u, 1, v)
+                factor = G(Fraction(-1, 2)) if same else G(-1)
+                delta = [factor * c for c in problem.homotopy(2).apply(bracket)]
+                assert kernel.scalars(kernel.delta(view_u, view_v)) == delta
+                coordinates = record.harmonic_coordinates.apply(bracket) if record else ()
+                doubled = [problem.ring.constant(c if same else 2 * c) for c in coordinates]
+                assert kernel.coordinates(kernel.bracket_sum([(view_u, view_v)])) == doubled
+
+
 def test_describe_vector_formatting():
     labels = ["u", "v", "w"]
     assert describe_vector([ONE, ZERO, ZERO], labels) == "u"

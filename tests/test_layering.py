@@ -74,3 +74,18 @@ def test_frozen_oracles_import_no_private_name() -> None:
         for path in sorted(tests.glob("oracle_*.py"))
     }
     assert imports and all(found == [] for found in imports.values()), imports
+
+
+def test_engine_evaluates_degree_one_maps_through_the_kernel() -> None:
+    """The series and both certificate routes apply the degree-one bracket,
+    the homotopy and the harmonic coordinates through the engine's integer
+    kernel; the scalar ``bracket_vectors`` and ``ExactMatrix.apply`` stay as
+    the reference the tests compare it against."""
+    calls = [
+        node.func.attr
+        for node in ast.walk(ast.parse((PACKAGE / "engine.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("bracket_vectors", "apply")
+    ]
+    assert calls == []
