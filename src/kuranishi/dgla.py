@@ -179,50 +179,11 @@ class Dgla:
     def label(self, degree: int, position: int) -> str:
         return self.basis[degree][position]
 
-    def basis_keys(self) -> list[BasisKey]:
-        return [(i, a) for i in self.degrees() for a in range(self.dim(i))]
-
     def differential_matrix(self, degree: int) -> ExactMatrix:
         matrix = self.differentials.get(degree)
         if matrix is None:
             return ExactMatrix.zeros(self.dim(degree + 1), self.dim(degree))
         return matrix
-
-    def bracket_entry(self, key_a: BasisKey, key_b: BasisKey) -> dict[int, GaussianRational]:
-        return self.brackets.get((key_a, key_b), {})
-
-    # -- element operations ----------------------------------------------
-
-    def bracket_vectors(
-        self,
-        degree_a: int,
-        u: Sequence[object],
-        degree_b: int,
-        v: Sequence[object],
-        *,
-        zero: object = ZERO,
-    ) -> list[object]:
-        """Bracket of two coordinate vectors, landing in ``degree_a + degree_b``.
-
-        The coordinates may be scalars or ring elements supporting ``+``,
-        ``*`` and ``scale`` (pass the ring's zero as ``zero``).
-        """
-        if len(u) != self.dim(degree_a) or len(v) != self.dim(degree_b):
-            raise ValueError("vector length mismatch")
-        out = [zero] * self.dim(degree_a + degree_b)
-        for a, ua in enumerate(u):
-            if ua.is_zero():
-                continue
-            for b, vb in enumerate(v):
-                if vb.is_zero():
-                    continue
-                entry = self.brackets.get(((degree_a, a), (degree_b, b)))
-                if not entry:
-                    continue
-                product = ua * vb
-                for c, coeff in entry.items():
-                    out[c] = out[c] + product.scale(coeff)
-        return out
 
     # -- comparisons -------------------------------------------------------
 

@@ -208,8 +208,8 @@ def _content_reduced(den: int, rows: list[IntPoly]) -> IntVector:
 class _SeriesKernel:
     """Integer views of the maps that the series and the certificates apply.
 
-    ``brackets`` lists the degree-one bracket entries ``[e_a, e_b]`` with
-    ``a <= b`` as ``(a, b, [(c, x, y), ...])``, over ``D_b``.  The bracket
+    ``brackets`` maps ``(a, b)`` with ``a <= b`` to the degree-one bracket
+    entry ``[e_a, e_b]`` as ``[(c, x, y), ...]``, over ``D_b``.  The bracket
     of two degree-one elements is symmetric (the axiom gate has checked
     graded antisymmetry), so an entry with ``a < b`` stands for both orders
     and carries a factor 2.  ``correction_rows`` are the rows of ``-H``,
@@ -228,10 +228,10 @@ class _SeriesKernel:
             if i == j == 1 and a <= b
         }
         self.bracket_scale, view = integer_view(one_one)
-        self.brackets = []
+        self.brackets = {}
         for (a, b), entry in view.items():
             f = 1 if a == b else 2
-            self.brackets.append((a, b, [(c, f * x, f * y) for c, (x, y) in entry.items()]))
+            self.brackets[a, b] = [(c, f * x, f * y) for c, (x, y) in entry.items()]
         self.homotopy_scale, homotopy = _matrix_view(problem.homotopy(2))
         self.correction_rows = [[(c, -x, -y) for c, x, y in row] for row in homotopy]
         record = problem.hodge.get(2)
@@ -261,36 +261,43 @@ class _SeriesKernel:
         """The sum over ``(u, v)`` in ``pairs`` of ``[u, v]``, doubled when
         ``u`` is not ``v``, in degree two.  It is put over ``D_b * L``, with
         ``L`` the lcm of the pairs' ``D_u * D_v``: each pair's products are
-        scaled by ``L / (D_u * D_v)``."""
+        scaled by ``L / (D_u * D_v)``.
+
+        Only pairs of nonzero rows of the operands are visited.  An entry
+        ``(a, b)`` with ``a < b`` already carries the factor 2 of its two
+        orders, so for ``u is v`` each unordered pair of rows of ``u`` is
+        taken once.  For distinct operands the rows ``a`` of ``u`` and ``b``
+        of ``v`` meet both ways round, ``u_a v_b`` and ``u_b v_a`` under the
+        same entry, which with the factor 2 gives ``2[u, v]``; on the
+        diagonal ``a == b`` only one product exists, so it is doubled."""
         common = math.lcm(*(du * dv for (du, _), (dv, _) in pairs))
+        brackets = self.brackets
         products: dict[tuple[int, int], dict[int, list[int]]] = {}
 
-        def multiply(a: int, b: int, f: IntPoly, g: IntPoly, scale: int) -> None:
-            acc = products.setdefault((a, b), {})
+        def multiply(key: tuple[int, int], f: IntPoly, g: IntPoly, scale: int) -> None:
+            acc = products.setdefault(key, {})
             for m, (x, y) in f.items():
                 _accumulate(acc, g, scale * x, scale * y, m)
 
         for (du, u), (dv, v) in pairs:
             scale = common // (du * dv)
-            for a, b, _ in self.brackets:
-                ua, ub, va, vb = u[a], u[b], v[a], v[b]
-                if u is v:
-                    if ua and ub:
-                        multiply(a, b, ua, ub, scale)
-                elif a == b:
-                    if ua and va:
-                        multiply(a, b, ua, va, 2 * scale)
-                else:
-                    if ua and vb:
-                        multiply(a, b, ua, vb, scale)
-                    if ub and va:
-                        multiply(a, b, ub, va, scale)
+            rows_u = [a for a, row in enumerate(u) if row]
+            if u is v:
+                for i, a in enumerate(rows_u):
+                    for b in rows_u[i:]:
+                        if (a, b) in brackets:
+                            multiply((a, b), u[a], u[b], scale)
+                continue
+            rows_v = [b for b, row in enumerate(v) if row]
+            for a in rows_u:
+                for b in rows_v:
+                    key = (a, b) if a <= b else (b, a)
+                    if key in brackets:
+                        multiply(key, u[a], v[b], 2 * scale if a == b else scale)
         out: list[dict[int, list[int]]] = [{} for _ in range(self.dim2)]
-        for a, b, entry in self.brackets:
-            product = products.get((a, b))
-            if product:
-                for c, x, y in entry:
-                    _accumulate(out[c], product, x, y)
+        for key, product in products.items():
+            for c, x, y in brackets[key]:
+                _accumulate(out[c], product, x, y)
         return self.bracket_scale * common, [_nonzero(cells) for cells in out]
 
     def correction(self, bracket: IntVector) -> IntVector:
@@ -411,6 +418,14 @@ def _closure_certificate(problem: KuranishiProblem) -> dict | None:
     return {"spanDimension": len(found)}
 
 
+def _in_constant_span(span: EchelonBasis, vec: Sequence[MultiPoly]) -> bool:
+    """Whether the polynomial vector ``vec`` lies in the span of constant
+    vectors ``span``: exactly when each of its per-monomial coefficient
+    vectors does."""
+    monomials = {m for p in vec for m in p.terms}
+    return all(span.contains([p.terms.get(m, ZERO) for p in vec]) for m in monomials)
+
+
 def _rational_certificate(
     problem: KuranishiProblem,
     series: dict[int, list[MultiPoly]],
@@ -458,7 +473,7 @@ def _rational_certificate(
     x1 = kernel.linear
     # forcing term: the series' degree-two term, -1/2 homotopy of [x1, x1]
     forcing_vec = series[2]
-    if not span.contains(forcing_vec):
+    if not _in_constant_span(span, forcing_vec):
         return None
     if width == 0:
         tail = 1, [{} for _ in range(n)]
@@ -471,7 +486,7 @@ def _rational_certificate(
         for row in basis:
             # -1/2 homotopy of the doubled bracket 2[x1, row]: -homotopy[x1, row]
             image = kernel.polys(*kernel.delta(x1, row))
-            if not span.contains(image):
+            if not _in_constant_span(span, image):
                 return None
             columns.append([image[p] for p in span.pivots])
         system = [
@@ -673,12 +688,12 @@ def _leaf_decomposition(
     None if an unfactorable generator or the node budget stops the search.
     """
     stack = [basis]
-    seen: set[tuple[str, ...]] = set()
-    leaves: dict[tuple[str, ...], list[MultiPoly]] = {}
+    seen: set[tuple[MultiPoly, ...]] = set()
+    leaves: dict[tuple[MultiPoly, ...], list[MultiPoly]] = {}
     nodes = 0
     while stack:
         current = stack.pop()
-        key = tuple(str(g) for g in current)
+        key = tuple(current)
         if key in seen:
             continue
         seen.add(key)

@@ -152,13 +152,6 @@ class LieAlgebra:
                 dims.append(-1)
                 return dims
 
-    def nilpotency_index(self) -> int:
-        """Length of the lower central series (abelian algebras have index 1)."""
-        series = self.lower_central_series()
-        if series[-1] == -1:
-            raise ValueError("algebra is not nilpotent")
-        return len(series)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):
             return NotImplemented

@@ -4,8 +4,6 @@ All row elimination goes through one routine, :class:`EchelonBasis`: it
 keeps the reduced row echelon form of a growing span (rows monic at their
 pivot, zero at every other row's pivot, sorted by pivot), which is unique,
 so the rows and pivots do not depend on the order the vectors arrive in.
-Its ``reduce`` subtracts ``c.scale(row)``, so it also reduces
-polynomial-valued vectors against a scalar span.
 
 All decisions that depend on basis choices are made deterministic:
 
@@ -19,8 +17,8 @@ All decisions that depend on basis choices are made deterministic:
   rows mapped back), so a caller can pick coordinate complements under
   either convention.
 
-``ExactMatrix.apply`` is the one matrix-vector product; its vector entries
-may be scalars or polynomials.
+``ExactMatrix.apply`` is the one matrix-vector product.  Every vector here,
+for ``apply`` and ``EchelonBasis`` alike, is a vector of scalars.
 """
 
 from __future__ import annotations
@@ -161,23 +159,17 @@ class ExactMatrix:
                         dest[j] = dest[j] + a * b
         return ExactMatrix(out, ncols=other.ncols)
 
-    def apply(self, vec: Sequence[object], zero: object = ZERO) -> tuple[object, ...]:
-        """Matrix-vector product (vector indexed by columns).
-
-        The vector entries may live in any ring with ``+``, ``is_zero`` and a
-        ``scale`` method accepting a :class:`GaussianRational` (scalars, or
-        polynomial-valued coordinates); ``zero`` supplies the additive
-        identity of that ring.
-        """
+    def apply(self, vec: Sequence[GaussianRational]) -> Vector:
+        """Matrix-vector product (vector indexed by columns)."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        out: list[object] = []
+        out: list[GaussianRational] = []
         for row in self.rows:
-            acc = zero
+            acc = ZERO
             for coeff, x in zip(row, vec):
                 if coeff.is_zero() or x.is_zero():
                     continue
-                acc = acc + x.scale(coeff)
+                acc = acc + coeff * x
             out.append(acc)
         return tuple(out)
 
@@ -201,9 +193,9 @@ class ExactMatrix:
         )
 
 
-def _subtract_multiple(vec: list, c: object, row: Sequence[GaussianRational]) -> list:
-    """``vec - c * row``, with ``c.scale`` so ``c`` may be a polynomial."""
-    return [x if r.is_zero() else x - c.scale(r) for x, r in zip(vec, row)]
+def _subtract_multiple(vec: list, c: GaussianRational, row: Sequence[GaussianRational]) -> list:
+    """``vec - c * row``."""
+    return [x if r.is_zero() else x - c * r for x, r in zip(vec, row)]
 
 
 class EchelonBasis:
@@ -223,11 +215,11 @@ class EchelonBasis:
         for vec in vectors:
             self.add(vec)
 
-    def reduce(self, vec: Sequence[object]) -> list[object]:
-        """``vec`` minus ``vec[p].scale(row)`` for each row and its pivot ``p``.
+    def reduce(self, vec: Sequence[GaussianRational]) -> list[GaussianRational]:
+        """``vec`` minus ``vec[p] * row`` for each row and its pivot ``p``.
 
-        The entries may be scalars or polynomials; the result vanishes at
-        every pivot, and is zero iff ``vec`` lies in the span.
+        The result vanishes at every pivot, and is zero iff ``vec`` lies in
+        the span.
         """
         if len(vec) != self.length:
             raise ValueError("vector length mismatch")
@@ -238,7 +230,7 @@ class EchelonBasis:
                 out = _subtract_multiple(out, c, row)
         return out
 
-    def add(self, vec: Sequence[object]) -> bool:
+    def add(self, vec: Sequence[GaussianRational]) -> bool:
         """Insert a scalar vector; report whether the span grew."""
         reduced = self.reduce(vec)
         pivot = next((i for i, x in enumerate(reduced) if not x.is_zero()), None)
@@ -257,8 +249,8 @@ class EchelonBasis:
         self.pivots.insert(position, pivot)
         return True
 
-    def contains(self, vec: Sequence[object]) -> bool:
-        """Whether ``vec`` (scalar or polynomial entries) lies in the span."""
+    def contains(self, vec: Sequence[GaussianRational]) -> bool:
+        """Whether ``vec`` lies in the span."""
         return all(x.is_zero() for x in self.reduce(vec))
 
 

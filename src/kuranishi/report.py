@@ -176,6 +176,11 @@ def _germ_payload(germ) -> dict:
 
 def _warnings(config: AnalysisConfig, result: StructureAnalysis) -> list[str]:
     warnings: list[str] = []
+    if not result.classification["nilpotent"]:
+        warnings.append(
+            "the Lie algebra is not nilpotent: it may admit no lattice, so the "
+            "left-invariant model may not describe a compact quotient"
+        )
     for block in result.blocks():
         if not block.series.exact:
             warnings.append(

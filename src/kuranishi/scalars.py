@@ -15,12 +15,12 @@ parses its arguments.  The parts ``re`` and ``im`` are exact
 ``fractions.Fraction`` values computed on demand; ``triple`` hands the
 normalised integers to code that runs its own integer arithmetic, and
 ``from_triple`` takes its results back through ``_make``.
-Display, the wire form and the hash are those of the pair ``(re, im)``; an
-integral triple hashes as ``(a, b)``, the same value, since an int and the
-equal ``Fraction`` hash alike.
+Display and the hash are those of the pair ``(re, im)``; an integral
+triple hashes as ``(a, b)``, the same value, since an int and the equal
+``Fraction`` hash alike.
 
 No floating point is ever used; constructing a scalar from a float raises,
-and serialization keeps numerator/denominator form.
+and the text form keeps numerator/denominator form.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ RationalLike = Union[int, str, Fraction]
 __all__ = [
     "GaussianRational",
     "parse_rational",
-    "format_rational",
     "rational_sqrt",
     "ZERO",
     "ONE",
@@ -76,13 +75,6 @@ def parse_rational(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed rational {value!r}: {exc}") from None
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
-
-
-def format_rational(value: Fraction) -> Union[int, str]:
-    """Serialize a rational as an int when integral, else a ``"p/q"`` string."""
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:
@@ -168,12 +160,6 @@ class GaussianRational:
             return cls(_json_rational(value[0]), _json_rational(value[1]))
         return cls(_json_rational(value))
 
-    def to_json(self) -> object:
-        """Serialize: int/``"p/q"`` when real, else a ``[re, im]`` pair."""
-        if self._b == 0:
-            return format_rational(self.re)
-        return [format_rational(self.re), format_rational(self.im)]
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -232,11 +218,6 @@ class GaussianRational:
         return _make(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
-
-    def scale(self, c: "GaussianRational | RationalLike") -> "GaussianRational":
-        """Multiply by a scalar; mirrors ``MultiPoly.scale`` so vector code
-        can treat scalar-valued and polynomial-valued coordinates alike."""
-        return self * c
 
     def inverse(self) -> "GaussianRational":
         a, b, d = self._a, self._b, self._d

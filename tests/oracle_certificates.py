@@ -11,6 +11,11 @@ replaced them; ``test_hodge_oracle`` compares the full return values.
 engine; they are copied here verbatim, so that no engine edit changes this
 reference.  Nothing else changed.
 
+The ring-generic maps it calls left the package for the frozen
+``oracle_maps``; they are imported from there and called as functions of
+their former owner (``dgla.bracket_vectors(`` became
+``bracket_vectors(dgla, ``), with the same logic.
+
 Frozen at creation; do not edit when changing the engine.
 """
 
@@ -23,6 +28,7 @@ from kuranishi.engine import KuranishiProblem
 from kuranishi.linalg import EchelonBasis, Vector
 from kuranishi.poly import MultiPoly, poly_matrix_det
 from kuranishi.scalars import GaussianRational, ONE
+from oracle_maps import apply, bracket_vectors, contains
 
 
 #: the factor of the series recursion ``s_k = -1/2 H sb_k``
@@ -35,7 +41,7 @@ def _harmonic_poly_coordinates(
     record = problem.hodge.get(degree)
     if record is None or not record.harmonic:
         return []
-    return list(record.harmonic_coordinates.apply(vec, problem.ring.zero()))
+    return list(apply(record.harmonic_coordinates, vec, problem.ring.zero()))
 
 
 def _delta_bracket(
@@ -43,7 +49,7 @@ def _delta_bracket(
     u: Sequence[GaussianRational],
     v: Sequence[GaussianRational],
 ) -> Vector:
-    bracket = problem.dgla.bracket_vectors(1, list(u), 1, list(v))
+    bracket = bracket_vectors(problem.dgla, 1, list(u), 1, list(v))
     return problem.homotopy(2).apply(bracket)
 
 
@@ -73,7 +79,7 @@ def _closure_certificate(problem: KuranishiProblem) -> dict | None:
     if record is not None and record.harmonic:
         for a, u in enumerate(basis):
             for v in basis[a:]:
-                bracket = problem.dgla.bracket_vectors(1, u, 1, v)
+                bracket = bracket_vectors(problem.dgla, 1, u, 1, v)
                 coords = record.harmonic_coordinates.apply(bracket)
                 if any(not c.is_zero() for c in coords):
                     return None
@@ -125,12 +131,12 @@ def _rational_certificate(
 
     x1 = problem.linear_term
     # forcing term: -1/2 homotopy of the linear self-bracket, in span coords
-    self_bracket = dgla.bracket_vectors(1, x1, 1, x1, zero=zero)
+    self_bracket = bracket_vectors(dgla, 1, x1, 1, x1, zero=zero)
     forcing_vec = [
         p.scale(MINUS_HALF)
-        for p in problem.homotopy(2).apply(self_bracket, zero)
+        for p in apply(problem.homotopy(2), self_bracket, zero)
     ]
-    if not span.contains(forcing_vec):
+    if not contains(span, forcing_vec):
         return None
     if width == 0:
         tail_num = [zero] * n
@@ -142,10 +148,10 @@ def _rational_certificate(
         columns: list[list[MultiPoly]] = []
         for row in basis:
             row_polys = [ring.constant(c) for c in row]
-            bracket = dgla.bracket_vectors(1, x1, 1, row_polys, zero=zero)
-            image = problem.homotopy(2).apply(bracket, zero)
+            bracket = bracket_vectors(dgla, 1, x1, 1, row_polys, zero=zero)
+            image = apply(problem.homotopy(2), bracket, zero)
             image = [p.scale(GaussianRational(-1)) for p in image]
-            if not span.contains(image):
+            if not contains(span, image):
                 return None
             columns.append([image[p] for p in span.pivots])
         system = [
@@ -173,8 +179,8 @@ def _rational_certificate(
 
     # clear denominators: q^2 * selfbracket(x1 + tail/q)
     q2 = q * q
-    br_1n = dgla.bracket_vectors(1, x1, 1, tail_num, zero=zero)
-    br_nn = dgla.bracket_vectors(1, tail_num, 1, tail_num, zero=zero)
+    br_1n = bracket_vectors(dgla, 1, x1, 1, tail_num, zero=zero)
+    br_nn = bracket_vectors(dgla, 1, tail_num, 1, tail_num, zero=zero)
     cleared = [
         (a * q2) + (b * q).scale(GaussianRational(2)) + c
         for a, b, c in zip(self_bracket, br_1n, br_nn)

@@ -11,6 +11,11 @@ replaced it; ``test_series_oracle`` compares ``(series, obstructions)``.
 engine; they are copied here verbatim, so that no engine edit changes this
 reference.  Nothing else changed.
 
+The ring-generic maps it calls left the package for the frozen
+``oracle_maps``; they are imported from there and called as functions of
+their former owner (``dgla.bracket_vectors(`` became
+``bracket_vectors(dgla, ``), with the same logic.
+
 Frozen at creation; do not edit when changing the engine.
 """
 
@@ -22,6 +27,7 @@ from typing import Sequence
 from kuranishi.engine import KuranishiProblem
 from kuranishi.poly import MultiPoly
 from kuranishi.scalars import GaussianRational, ONE
+from oracle_maps import apply, bracket_vectors
 
 
 #: the factor of the series recursion ``s_k = -1/2 H sb_k``
@@ -34,7 +40,7 @@ def _harmonic_poly_coordinates(
     record = problem.hodge.get(degree)
     if record is None or not record.harmonic:
         return []
-    return list(record.harmonic_coordinates.apply(vec, problem.ring.zero()))
+    return list(apply(record.harmonic_coordinates, vec, problem.ring.zero()))
 
 
 def expand_series(
@@ -60,13 +66,13 @@ def expand_series(
             j = k - i
             if i > j:
                 break
-            term = dgla.bracket_vectors(1, series[i], 1, series[j], zero=zero)
+            term = bracket_vectors(dgla, 1, series[i], 1, series[j], zero=zero)
             factor = ONE if i == j else GaussianRational(2)
             self_bracket = [
                 acc + value.scale(factor) for acc, value in zip(self_bracket, term)
             ]
         obstructions[k] = _harmonic_poly_coordinates(problem, 2, self_bracket)
-        correction = homotopy2.apply(self_bracket, zero)
+        correction = apply(homotopy2, self_bracket, zero)
         series[k] = [p.scale(MINUS_HALF) for p in correction]
         for p in series[k]:
             if not p.is_zero() and not (

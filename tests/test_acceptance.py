@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cache
 
 from oracle_groebner import oracle_membership
+from oracle_maps import apply, bracket_vectors
 from test_dgla import harmonic_projection
 from tuple_polys import frozen
 
@@ -284,8 +285,8 @@ def _assert_series_solves_fixed_point(block) -> None:
     total = [zero] * block.dgla.dim(1)
     for vec in analysis.series.values():
         total = [a + b for a, b in zip(total, vec)]
-    bracket = block.dgla.bracket_vectors(1, total, 1, total, zero=zero)
-    correction = problem.homotopy(2).apply(bracket, zero)
+    bracket = bracket_vectors(block.dgla, 1, total, 1, total, zero=zero)
+    correction = apply(problem.homotopy(2), bracket, zero)
     half = G(Fraction(1, 2))
     for position, (x_total, corr) in enumerate(zip(total, correction)):
         residual = x_total + corr.scale(half)

@@ -417,6 +417,20 @@ def test_cli_analyze_curved_config_is_inconclusive(tmp_path, capsys):
     assert "curvature coupling present" in out
 
 
+def test_cli_analyze_warns_on_a_non_nilpotent_algebra(capsys):
+    config = {
+        "lieAlgebra": {"dimension": 2, "constants": [[1, 2, 2, 1]]},
+        "complexStructure": {"jMatrix": [[0, -1], [1, 0]]},
+    }
+    assert main(["analyze", json.dumps(config), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"]["nilpotent"] is False
+    assert report["warnings"] == [
+        "the Lie algebra is not nilpotent: it may admit no lattice, so the "
+        "left-invariant model may not describe a compact quotient"
+    ]
+
+
 def test_cli_analyze_without_input_exits_two(capsys):
     assert main(["analyze"]) == 2
     assert "an input is required" in capsys.readouterr().err

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_linalg as oracle
+from oracle_maps import contains, reduce
+from kuranishi import engine
 from kuranishi.dgla import _harmonic_representatives
 from kuranishi.linalg import EchelonBasis, ExactMatrix, kernel_basis, rref
 from kuranishi.poly import PolyRing
@@ -102,7 +104,8 @@ def test_harmonic_representatives_match_the_oracle(
 def test_polynomial_reduce_matches_the_oracle_residual(
     rows: list[list[GaussianRational]], data: st.DataObject
 ) -> None:
-    """Polynomial-valued vectors: planted span combinations plus noise."""
+    """Polynomial-valued vectors: planted span combinations plus noise.  The
+    engine's per-monomial containment check agrees with the reduction."""
     ring = PolyRing(["s", "t"])
     n = len(rows[0])
     basis = EchelonBasis(n, rows)
@@ -122,6 +125,8 @@ def test_polynomial_reduce_matches_the_oracle_residual(
     for row in basis.rows:
         c = poly()
         planted = [x + c.scale(r) for x, r in zip(planted, row)]
-    assert all(p.is_zero() for p in basis.reduce(planted))
+    assert all(p.is_zero() for p in reduce(basis, planted))
     noisy = [x + poly() if data.draw(st.booleans()) else x for x in planted]
-    assert basis.reduce(noisy) == oracle.polynomial_residual(noisy, span)
+    assert reduce(basis, noisy) == oracle.polynomial_residual(noisy, span)
+    assert engine._in_constant_span(basis, planted)
+    assert engine._in_constant_span(basis, noisy) == contains(basis, noisy)

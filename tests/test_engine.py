@@ -34,6 +34,7 @@ from kuranishi.linalg import ExactMatrix
 from kuranishi.poly import PolyRing
 from kuranishi.scalars import GaussianRational as G, ONE, ZERO
 
+from oracle_maps import apply, bracket_vectors
 from test_abelian_oracle import _frames_documents
 from test_lie import example1_structure, example2_structure, iwasawa_structure
 from test_builders import torus_structure
@@ -569,8 +570,8 @@ def test_series_solves_the_deformation_equation(name):
     total = [zero] * block.dgla.dim(1)
     for vec in analysis.series.values():
         total = [a + b for a, b in zip(total, vec)]
-    bracket = block.dgla.bracket_vectors(1, total, 1, total, zero=zero)
-    image = problem.homotopy(2).apply(bracket, zero)
+    bracket = bracket_vectors(block.dgla, 1, total, 1, total, zero=zero)
+    image = apply(problem.homotopy(2), bracket, zero)
     half = G(Fraction(1, 2))
     for position, (x_total, corr) in enumerate(zip(total, image)):
         recovered = x_total + corr.scale(half)
@@ -610,7 +611,7 @@ def test_kernel_scalar_entry_matches_the_reference_maps(name):
         for a, (u, view_u) in enumerate(zip(reps, views)):
             for v, view_v in zip(reps[a:], views[a:]):
                 same = view_v is view_u
-                bracket = dgla.bracket_vectors(1, u, 1, v)
+                bracket = bracket_vectors(dgla, 1, u, 1, v)
                 factor = G(Fraction(-1, 2)) if same else G(-1)
                 delta = [factor * c for c in problem.homotopy(2).apply(bracket)]
                 assert kernel.scalars(kernel.delta(view_u, view_v)) == delta

@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_dgla as oracle
+from oracle_maps import basis_keys
 from kuranishi.builders import PairDgla, build_pair_dgla
 from kuranishi.catalog import build_catalog_structure
 from kuranishi.config import load_config
@@ -127,7 +128,7 @@ def _random_target(dgla: Dgla, rng: random.Random):
     if stored and rng.random() < 0.5:
         key_a, key_b = rng.choice(stored)
     else:
-        keys = dgla.basis_keys()
+        keys = basis_keys(dgla)
         choices = [
             (a, b) for a in keys for b in keys if dgla.dim(a[0] + b[0]) > 0
         ]

@@ -25,6 +25,7 @@ import json
 
 import pytest
 
+import oracle_scalars
 from kuranishi.cli import main
 from kuranishi.config import load_config
 from kuranishi.report import build_report, render_json, run_analysis
@@ -118,7 +119,7 @@ def _mixed_frame() -> list[list[object]]:
         row = [GaussianRational(0)] * len(frame[0])
         for coeff, frame_row in zip(mix_row, frame):
             row = [acc + coeff * x for acc, x in zip(row, frame_row)]
-        rows.append([x.to_json() for x in row])
+        rows.append([oracle_scalars.GaussianRational(x.re, x.im).to_json() for x in row])
     return rows
 
 

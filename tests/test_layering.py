@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from kuranishi.dgla import Dgla
+from kuranishi.scalars import GaussianRational
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kuranishi"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
 
@@ -79,8 +82,8 @@ def test_frozen_oracles_import_no_private_name() -> None:
 def test_engine_evaluates_degree_one_maps_through_the_kernel() -> None:
     """The series and both certificate routes apply the degree-one bracket,
     the homotopy and the harmonic coordinates through the engine's integer
-    kernel; the scalar ``bracket_vectors`` and ``ExactMatrix.apply`` stay as
-    the reference the tests compare it against."""
+    kernel; the tests compare it against the reference maps of
+    ``tests/oracle_maps.py``."""
     calls = [
         node.func.attr
         for node in ast.walk(ast.parse((PACKAGE / "engine.py").read_text()))
@@ -89,3 +92,26 @@ def test_engine_evaluates_degree_one_maps_through_the_kernel() -> None:
         and node.func.attr in ("bracket_vectors", "apply")
     ]
     assert calls == []
+
+
+def test_the_package_keeps_one_ring_for_vectors() -> None:
+    """Every vector the package maps is a vector of scalars.  The
+    ring-generic bracket, matrix product and echelon reduction live in
+    ``tests/oracle_maps.py`` as the tests' reference, so no package function
+    takes a ring's ``zero``, and ``GaussianRational`` has neither the
+    ``scale`` that let generic code treat a scalar like a polynomial nor
+    the ``to_json`` that nothing in the package called."""
+    moved = ("bracket_vectors", "bracket_entry", "basis_keys")
+    assert [name for name in moved if hasattr(Dgla, name)] == []
+    assert [name for name in ("scale", "to_json") if hasattr(GaussianRational, name)] == []
+    takes_zero = [
+        f"{name}: {node.name}"
+        for name in MODULES
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            arg.arg == "zero"
+            for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        )
+    ]
+    assert takes_zero == []
