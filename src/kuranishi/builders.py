@@ -14,7 +14,9 @@ and the two derivations read off the frame structure constants of
 :class:`kuranishi.lie.ComplexStructure`, the (0,2)-part of the exterior
 differential (the form part of the DGLA differential) and the holomorphic
 contractions (the W action in the bracket).  Both are leg tables extended
-over a word slot by slot.
+over a word slot by slot.  A build tabulates the wedges of word pairs, the
+contraction images and the value brackets once, and emits the bracket
+table from their nonzero products only.
 
 The two blocks are read off the joint DGLA.  The W-valued forms, in the
 leading positions of every degree, make the *deformation* DGLA of the
@@ -311,45 +313,80 @@ def build_pair_dgla(
         for q, es in elements.items()
     }
     lam = _contraction_coefficients(structure)
+    values = range(m + square)
 
-    def bracket(element_a: Element, element_b: Element) -> dict[int, GaussianRational]:
-        (word_a, x), (word_b, y) = element_a, element_b
-        out: dict[int, GaussianRational] = {}
-        targets = position[len(word_a) + len(word_b)]
-        normalized = _normalize_word(word_a + word_b)
-        if normalized is not None:
-            word, sign = normalized
-            for value, coeff in _value_bracket(structure, rank, x, y):
-                _accumulate(out, targets[(word, value)], _signed(coeff, sign))
-        mirror_sign = -1 if (len(word_a) * len(word_b)) % 2 == 0 else 1
-        for acting, word_acting, word_other, value, side_sign in (
-            (x, word_a, word_b, y, 1),
-            (y, word_b, word_a, x, mirror_sign),
-        ):
-            if acting >= m:
-                continue
-            for new_word, s1, coeff in _replace_slots(word_other, lam[acting]):
-                normalized = _normalize_word(word_acting + new_word)
-                if normalized is None:
-                    continue
-                word, s2 = normalized
-                _accumulate(
-                    out, targets[(word, value)], _signed(coeff, s1 * s2 * side_sign)
-                )
-        return out
+    # per-build tables: wedges[b][a] is ``(a ^ b sorted, sign)`` for disjoint
+    # words, contraction[x][w] the terms of ``i_{W x} d w``, value_brackets
+    # the nonzero ``[x, y]``
+    all_words = [w for ws in words.values() for w in ws]
+    wedges: dict[tuple[int, ...], dict] = {b: {} for b in all_words}
+    for a in all_words:
+        for b in all_words:
+            normalized = _normalize_word(a + b)
+            if normalized is not None:
+                wedges[b][a] = normalized
+    contraction = [
+        {
+            w: [(new_word, _signed(c, s)) for new_word, s, c in _replace_slots(w, lam[x])]
+            for w in all_words
+        }
+        for x in range(m)
+    ]
+    value_brackets = {}
+    for x in values:
+        for y in values:
+            terms = _value_bracket(structure, rank, x, y)
+            if terms:
+                value_brackets[x, y] = terms
 
+    # The table keeps the pairs of basis keys key_a <= key_b, for
+    # Dgla.from_bracket_entries to complete; it is emitted from its nonzero
+    # sources only, and an entry that cancels to {} is dropped there.
     entries: BracketTable = {}
-    for p in range(m + 1):
-        for q in range(p, m + 1 - p):
-            for ia, element_a in enumerate(elements[p]):
-                for jb, element_b in enumerate(elements[q]):
-                    if q == p and jb < ia:
-                        continue
-                    entry = bracket(element_a, element_b)
-                    if entry:
-                        entries[((p, ia), (q, jb))] = entry
+
+    # the wedge term (A ^ B) * [x, y] of [A * x, B * y]
+    for (x, y), terms in value_brackets.items():
+        for word_b in all_words:
+            key_b = (len(word_b), position[len(word_b)][(word_b, y)])
+            for word_a, (word, sign) in wedges[word_b].items():
+                key_a = (len(word_a), position[len(word_a)][(word_a, x)])
+                if key_a > key_b:
+                    continue
+                entry = entries.setdefault((key_a, key_b), {})
+                targets = position[len(word)]
+                for value, coeff in terms:
+                    _accumulate(entry, targets[(word, value)], _signed(coeff, sign))
+    # A W value x of (P, x) contracted into d Q, wedged on the left by P and
+    # valued in Q's value y: a term of [(P, x), (Q, y)], and by graded
+    # antisymmetry of [(Q, y), (P, x)] with the sign -(-1)^(pq)
+    for x in range(m):
+        for word_q, image in contraction[x].items():
+            q = len(word_q)
+            for new_word, coeff in image:
+                for word_p, (word, sign) in wedges[new_word].items():
+                    p = len(word_p)
+                    key_p = (p, position[p][(word_p, x)])
+                    targets = position[p + q]
+                    term = _signed(coeff, sign)
+                    mirror = term if (p * q) % 2 else -term
+                    for y in values:
+                        key_q = (q, position[q][(word_q, y)])
+                        target = targets[(word, y)]
+                        for pair, v in (((key_p, key_q), term), ((key_q, key_p), mirror)):
+                            if pair[0] <= pair[1]:
+                                _accumulate(entries.setdefault(pair, {}), target, v)
 
     dbar = _dbar_coefficients(structure)
+    # the holomorphic part of [conj W_b, W_x], read by the W action
+    w_action = {
+        (b, x): [
+            (c, v)
+            for c, v in enumerate(structure.frame_bracket(m + b, x)[:m])
+            if not v.is_zero()
+        ]
+        for b in range(m)
+        for x in range(m)
+    }
     differentials: dict[int, ExactMatrix] = {}
     for q in range(m):
         form_image = {
@@ -364,18 +401,17 @@ def build_pair_dgla(
                 _accumulate(image, targets[(new_word, x)], v)
             if x < m:
                 for b in range(m):
-                    if b in word:
+                    wedged = wedges[word].get((b,))
+                    if wedged is None:
                         continue
-                    new_word, sign = _normalize_word((b,) + word)
-                    action = structure.frame_bracket(m + b, x)[:m]
-                    for c, v in enumerate(action):
-                        if not v.is_zero():
-                            _accumulate(image, targets[(new_word, c)], _signed(v, sign))
+                    new_word, sign = wedged
+                    for c, v in w_action[b, x]:
+                        _accumulate(image, targets[(new_word, c)], _signed(v, sign))
                 for (hol, anti), matrix in normalized_curvature.items():
-                    normalized = _normalize_word(word + (anti,))
-                    if hol != x or normalized is None:
+                    wedged = wedges[(anti,)].get(word)
+                    if hol != x or wedged is None:
                         continue
-                    new_word, sign = normalized
+                    new_word, sign = wedged
                     for g in range(square):
                         coeff = _signed(matrix[divmod(g, rank)], -sign)
                         _accumulate(image, targets[(new_word, m + g)], coeff)

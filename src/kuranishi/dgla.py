@@ -122,13 +122,14 @@ class Dgla:
                 )
             if not matrix.is_zero():
                 self.differentials[degree] = matrix
+        dims = {degree: len(labels) for degree, labels in self.basis.items()}
         table: BracketTable = {}
         for (key_a, key_b), entry in brackets.items():
             for key in (key_a, key_b):
                 degree, position = key
-                if not 0 <= position < self.dim(degree):
+                if not 0 <= position < dims.get(degree, 0):
                     raise ValueError(f"bracket key {key} is not a basis element")
-            cleaned = _clean_entry(entry, self.dim(key_a[0] + key_b[0]))
+            cleaned = _clean_entry(entry, dims.get(key_a[0] + key_b[0], 0))
             if cleaned:
                 table[(key_a, key_b)] = cleaned
         self.brackets = table
@@ -153,8 +154,10 @@ class Dgla:
                 for c, v in entry.items()
             }
             value = {c: v for c, v in value.items() if not v.is_zero()}
-            sign = -ONE if (key_a[0] * key_b[0]) % 2 == 0 else ONE
-            mirror = {c: v * sign for c, v in value.items()}
+            if (key_a[0] * key_b[0]) % 2:
+                mirror = value
+            else:
+                mirror = {c: -v for c, v in value.items()}
             if key_a == key_b and mirror != value:
                 raise ValueError(
                     f"bracket of the even element {key_a} with itself must vanish"
@@ -466,8 +469,11 @@ def hodge_decomposition(dgla: Dgla, pivot_rule: str = "earliest") -> dict[int, H
     eliminated once: its echelon form gives both its kernel and its pivot
     columns.  Those pivots index the coexact part of ``L^i`` and are carried
     to degree ``i + 1`` as its image pivots (none when that degree is
-    zero).  The homotopy places the image-coordinate rows of the inverse change of
-    basis at those pivot rows of ``L^{i-1}``, zero elsewhere.
+    zero).  The harmonic coordinates and the homotopy are rows of the
+    inverse change of basis ``[H | Im | A]``, read off the inverse of its
+    ``k x k`` block of harmonic and image vectors, ``k = dim ker d_i``; the
+    homotopy places the image-coordinate rows at the pivot rows of
+    ``L^{i-1}``, zero elsewhere.
     """
     result: dict[int, HodgeDegree] = {}
     incoming = ExactMatrix([], ncols=0)
@@ -491,12 +497,23 @@ def hodge_decomposition(dgla: Dgla, pivot_rule: str = "earliest") -> dict[int, H
                 f"harmonic count mismatch in degree {i}: the exact subspace "
                 "is not contained in the kernel"
             )
-        change = ExactMatrix.from_columns(
-            [list(v) for v in harmonic + image_vectors + coexact_vectors], nrows=n
-        )
-        change_inv = inverse(change)
+        # Of the inverse of the change of basis [H | Im | A] only the rows of
+        # H and Im are used.  They vanish on A's unit vectors, so they are
+        # the inverse of the k x k block of H and Im on the other columns,
+        # placed at those columns.  The block is invertible: a combination of
+        # H and Im that vanishes there lies in A and in ker d_i, so it is 0.
+        pivot_set = set(here_pivots)
+        free = [c for c in range(n) if c not in pivot_set]
+        dual = harmonic + image_vectors
+        block = ExactMatrix([[v[c] for v in dual] for c in free], ncols=len(dual))
+        rows = []
+        for block_row in inverse(block).rows:
+            row = [ZERO] * n
+            for c, x in zip(free, block_row):
+                row[c] = x
+            rows.append(row)
         homotopy_rows = [[ZERO] * n for _ in range(dgla.dim(i - 1))]
-        for p, row in zip(below_pivots, change_inv.rows[h:]):
+        for p, row in zip(below_pivots, rows[h:]):
             homotopy_rows[p] = row
         result[i] = HodgeDegree(
             degree=i,
@@ -504,7 +521,7 @@ def hodge_decomposition(dgla: Dgla, pivot_rule: str = "earliest") -> dict[int, H
             image=image_vectors,
             coexact=coexact_vectors,
             homotopy=ExactMatrix(homotopy_rows, ncols=n),
-            harmonic_coordinates=ExactMatrix(change_inv.rows[:h], ncols=n),
+            harmonic_coordinates=ExactMatrix(rows[:h], ncols=n),
         )
         incoming, below_pivots = outgoing, here_pivots
     return result

@@ -23,6 +23,7 @@ for ``apply`` and ``EchelonBasis`` alike, is a vector of scalars.
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Sequence
 
 from .scalars import GaussianRational, ONE, ZERO
@@ -173,29 +174,23 @@ class ExactMatrix:
             out.append(acc)
         return tuple(out)
 
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        return ExactMatrix(
-            [ra + rb for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
-        )
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.rows)
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.ncols)]
 
-    def select_columns(self, indices: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix(
-            [[row[j] for j in indices] for row in self.rows], ncols=len(indices)
-        )
 
-
-def _subtract_multiple(vec: list, c: GaussianRational, row: Sequence[GaussianRational]) -> list:
-    """``vec - c * row``."""
-    return [x if r.is_zero() else x - c * r for x, r in zip(vec, row)]
+def _subtract_multiple(
+    vec: list[GaussianRational],
+    c: GaussianRational,
+    row: Sequence[GaussianRational],
+    support: Iterable[int],
+) -> None:
+    """``vec -= c * row`` in place, where ``support`` holds the nonzero
+    positions of ``row``."""
+    for j in support:
+        vec[j] = vec[j] - c * row[j]
 
 
 class EchelonBasis:
@@ -203,15 +198,18 @@ class EchelonBasis:
 
     ``rows`` are monic at their pivot, zero at every other row's pivot, and
     sorted by pivot; ``pivots`` lists those pivot columns.  This form of a
-    span is unique, so it does not depend on the insertion order.
+    span is unique, so it does not depend on the insertion order.  Each row
+    also keeps its nonzero positions, so elimination touches only those;
+    a stored row is replaced, never changed in place.
     """
 
-    __slots__ = ("length", "rows", "pivots")
+    __slots__ = ("length", "rows", "pivots", "_supports")
 
     def __init__(self, length: int, vectors: Iterable[Sequence[object]] = ()) -> None:
         self.length = length
         self.rows: list[list[GaussianRational]] = []
         self.pivots: list[int] = []
+        self._supports: list[list[int]] = []
         for vec in vectors:
             self.add(vec)
 
@@ -224,29 +222,34 @@ class EchelonBasis:
         if len(vec) != self.length:
             raise ValueError("vector length mismatch")
         out = list(vec)
-        for row, pivot in zip(self.rows, self.pivots):
+        for row, pivot, support in zip(self.rows, self.pivots, self._supports):
             c = out[pivot]
             if not c.is_zero():
-                out = _subtract_multiple(out, c, row)
+                _subtract_multiple(out, c, row, support)
         return out
 
     def add(self, vec: Sequence[GaussianRational]) -> bool:
         """Insert a scalar vector; report whether the span grew."""
-        reduced = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(reduced) if not x.is_zero()), None)
-        if pivot is None:
+        new_row = self.reduce(vec)
+        support = [j for j, x in enumerate(new_row) if not x.is_zero()]
+        if not support:
             return False
-        inv = reduced[pivot].inverse()
-        new_row = [x * inv for x in reduced]
+        pivot = support[0]
+        if not new_row[pivot].is_one():
+            inv = new_row[pivot].inverse()
+            for j in support:
+                new_row[j] = new_row[j] * inv
         for k, row in enumerate(self.rows):
             c = row[pivot]
             if not c.is_zero():
-                self.rows[k] = _subtract_multiple(row, c, new_row)
-        position = next(
-            (k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots)
-        )
+                row = self.rows[k] = list(row)
+                _subtract_multiple(row, c, new_row, support)
+                merged = sorted(set(self._supports[k]).union(support))
+                self._supports[k] = [j for j in merged if not row[j].is_zero()]
+        position = bisect.bisect(self.pivots, pivot)
         self.rows.insert(position, new_row)
         self.pivots.insert(position, pivot)
+        self._supports.insert(position, support)
         return True
 
     def contains(self, vec: Sequence[GaussianRational]) -> bool:
@@ -313,7 +316,11 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
     if matrix.nrows != matrix.ncols:
         raise ValueError("inverse of a non-square matrix")
     n = matrix.nrows
-    reduced, pivots = rref(matrix.hstack(ExactMatrix.identity(n)))
+    augmented = [
+        row + [ONE if j == i else ZERO for j in range(n)]
+        for i, row in enumerate(matrix.rows)
+    ]
+    reduced, pivots = rref(ExactMatrix(augmented, ncols=2 * n))
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
-    return reduced.select_columns(range(n, 2 * n))
+    return ExactMatrix([row[n:] for row in reduced.rows], ncols=n)

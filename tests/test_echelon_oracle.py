@@ -2,7 +2,11 @@
 
 The inputs are seeded Gaussian-rational matrices with zero rows, zero
 columns and dependent rows mixed in, so every branch of the elimination
-(no pivot, back-elimination, insertion between pivots) is taken.
+(no pivot, back-elimination, insertion between pivots) is taken.  A second
+family draws mostly-zero rows of units (1, -1, i, -i) with an occasional
+fraction, as the pair DGLA's differentials are: their pivots are often
+already 1, so the rows are kept unscaled, and sparse rows reduce on short
+supports that back-elimination grows and cancels.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from kuranishi import engine
 from kuranishi.dgla import _harmonic_representatives
 from kuranishi.linalg import EchelonBasis, ExactMatrix, kernel_basis, rref
 from kuranishi.poly import PolyRing
-from kuranishi.scalars import GaussianRational, ZERO
+from kuranishi.scalars import GaussianRational, I, ONE, ZERO
 
 entries = st.one_of(
     st.just(ZERO),
@@ -30,14 +34,22 @@ entries = st.one_of(
 )
 
 
+sparse_unit_entries = st.sampled_from(
+    (ZERO,) * 10
+    + (ONE, -ONE, I, -I, GaussianRational("1/2", -1), GaussianRational(2, "1/3"))
+)
+
+
 @st.composite
-def row_lists(draw: st.DrawFn, max_dim: int = 5) -> list[list[GaussianRational]]:
+def row_lists(
+    draw: st.DrawFn, max_dim: int = 5, values: st.SearchStrategy = entries
+) -> list[list[GaussianRational]]:
     """Rows of one length, with dependent rows, a zero row and a zero column."""
     nrows = draw(st.integers(1, max_dim))
     ncols = draw(st.integers(1, max_dim))
     rows = draw(
         st.lists(
-            st.lists(entries, min_size=ncols, max_size=ncols),
+            st.lists(values, min_size=ncols, max_size=ncols),
             min_size=nrows,
             max_size=nrows,
         )
@@ -55,15 +67,19 @@ def row_lists(draw: st.DrawFn, max_dim: int = 5) -> list[list[GaussianRational]]
     return draw(st.permutations(rows))
 
 
-@given(row_lists())
-@settings(max_examples=80, deadline=None)
+#: dense fractions, or mostly-zero unit rows in up to 8 columns
+matrices = row_lists() | row_lists(max_dim=8, values=sparse_unit_entries)
+
+
+@given(matrices)
+@settings(max_examples=120, deadline=None)
 def test_rref_matches_the_oracle(rows: list[list[GaussianRational]]) -> None:
     matrix = ExactMatrix(rows)
     assert rref(matrix) == oracle.rref(matrix)
 
 
-@given(row_lists())
-@settings(max_examples=80, deadline=None)
+@given(matrices)
+@settings(max_examples=120, deadline=None)
 def test_insertions_match_the_oracle_span(rows: list[list[GaussianRational]]) -> None:
     basis = EchelonBasis(len(rows[0]))
     span = oracle._EchelonSpan(len(rows[0]))
@@ -74,8 +90,8 @@ def test_insertions_match_the_oracle_span(rows: list[list[GaussianRational]]) ->
         assert basis.contains(row)
 
 
-@given(row_lists(), row_lists(), st.data())
-@settings(max_examples=80, deadline=None)
+@given(matrices, matrices, st.data())
+@settings(max_examples=120, deadline=None)
 def test_harmonic_representatives_match_the_oracle(
     outgoing: list[list[GaussianRational]],
     extra: list[list[GaussianRational]],

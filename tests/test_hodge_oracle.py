@@ -9,11 +9,13 @@ homotopy and harmonic coordinates, the projection ``H @ coords`` the oracle
 stored, and harmonic counts equal to the oracle's cohomology dimensions.
 Both certificate routes must return what the oracle routes return, value
 for value.  The inputs are the joint, deformation and endomorphism DGLAs of
-every catalog entry at ranks 1 and 2, catalog structures on seeded random
-frames, the rank-1 DGLAs of six catalog entries in the seeded mixed frames
-of ``test_gate_oracle``, the toy DGLAs of ``test_dgla``, and two toys
-below on which a certificate span grows only through a self-bracket, each
-under both pivot rules.
+every catalog entry at ranks 1 and 2, example1 at rank 3, the torus with
+the curvature of the command-line tests (the one joint differential with a
+block off the diagonal), catalog structures on seeded random frames, the
+rank-1 DGLAs of six catalog entries in the seeded mixed frames of
+``test_gate_oracle``, the toy DGLAs of ``test_dgla``, and two toys below on
+which a certificate span grows only through a self-bracket, each under
+both pivot rules.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import oracle_hodge
 from kuranishi import engine
 from kuranishi.builders import build_pair_dgla
 from kuranishi.catalog import build_catalog_structure
+from kuranishi.config import load_config
 from kuranishi.dgla import Dgla, hodge_decomposition, validate_dgla
 from kuranishi.engine import default_truncation_order, expand_series, kuranishi_problem
 from kuranishi.lie import ComplexStructure
@@ -74,6 +77,8 @@ SERIES_ORDER = {f"example2-mixed-{block}": 6 for block in BLOCKS}
 
 CASES = (
     [f"{name}-r{rank}-{block}" for name in CATALOG for rank in (1, 2) for block in BLOCKS]
+    + [f"example1-r3-{block}" for block in BLOCKS]
+    + [f"torus-curved-{block}" for block in BLOCKS]
     + [f"{name}-f{seed}-{block}" for name in FRAMED for seed in (1, 2) for block in BLOCKS]
     + [f"{name}-mixed-{block}" for name in MIXED for block in BLOCKS]
     + [f"toy-{name}" for name in TOYS]
@@ -98,6 +103,9 @@ def _random_frame(name: str, seed: int) -> ComplexStructure:
 def _pair(name: str, tag: str):
     if tag == "mixed":
         return _framed_pair(name)
+    if tag == "curved":
+        config = load_config({"catalog": name, "curvature": [[1, 2, 1, 1, "1/2"]]})
+        return build_pair_dgla(config.structure, 1, curvature=config.curvature)
     if tag.startswith("r"):
         return build_pair_dgla(build_catalog_structure(name), int(tag[1:]))
     return build_pair_dgla(_random_frame(name, int(tag[1:])), 1)

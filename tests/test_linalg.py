@@ -128,7 +128,6 @@ def test_matmul_and_stack() -> None:
     a = ExactMatrix([[1, 2], [3, 4]])
     b = ExactMatrix([[0, 1], [1, 0]])
     assert (a @ b).rows == ExactMatrix([[2, 1], [4, 3]]).rows
-    assert a.hstack(b).ncols == 4
     assert a.column(1) == (GaussianRational(2), GaussianRational(4))
 
 
