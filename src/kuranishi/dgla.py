@@ -145,31 +145,22 @@ class Dgla:
 
         Each supplied entry ``[x, y]`` induces ``[y, x] = -(-1)**(|x||y|) [x, y]``.
         Supplying both orders is allowed when they are consistent; an even
-        diagonal entry ``[x, x] != 0`` is rejected outright.
+        diagonal entry ``[x, x] != 0`` is rejected outright.  The constructor
+        cleans the supplied entries; the mirrors are added to its table.
         """
-        completed: dict[tuple[BasisKey, BasisKey], dict[int, GaussianRational]] = {}
-        for (key_a, key_b), entry in entries.items():
-            value = {
-                c: v if type(v) is GaussianRational else GaussianRational.coerce(v)
-                for c, v in entry.items()
-            }
-            value = {c: v for c, v in value.items() if not v.is_zero()}
-            if (key_a[0] * key_b[0]) % 2:
-                mirror = value
-            else:
-                mirror = {c: -v for c, v in value.items()}
-            if key_a == key_b and mirror != value:
-                raise ValueError(
-                    f"bracket of the even element {key_a} with itself must vanish"
-                )
-            for key, want in (((key_a, key_b), value), ((key_b, key_a), mirror)):
-                have = completed.get(key)
-                if have is None:
-                    if want:
-                        completed[key] = want
-                elif have != want:
-                    raise ValueError(f"inconsistent bracket entries for pair {key}")
-        return cls(basis, differentials, completed)
+        dgla = cls(basis, differentials, entries)
+        table = dgla.brackets
+        for key_a, key_b in entries:
+            value = table.get((key_a, key_b), {})
+            mirror = value if (key_a[0] * key_b[0]) % 2 else {c: -v for c, v in value.items()}
+            if (key_b, key_a) not in entries:
+                if mirror:
+                    table[key_b, key_a] = mirror
+            elif table.get((key_b, key_a), {}) != mirror:
+                if key_a == key_b:
+                    raise ValueError(f"bracket of the even element {key_a} with itself must vanish")
+                raise ValueError(f"inconsistent bracket entries for pair {(key_a, key_b)}")
+        return dgla
 
     # -- structure access ------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Nilpotent Lie algebras and their invariant complex structures.
 
-A :class:`LieAlgebra` stores exact structure constants on a fixed basis.
+A :class:`LieAlgebra` stores exact structure constants on a fixed basis, as
+a DGLA concentrated in degree zero (:mod:`kuranishi.dgla`).
 Compact descriptions use the classical shorthand in which position ``k`` of a
 tuple lists the 2-form ``d e^k``; the sign convention throughout is
 
@@ -22,6 +23,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .dgla import Dgla, dgla_axiom_failures
 from .linalg import EchelonBasis, ExactMatrix, Vector, inverse, kernel_basis, rref
 from .scalars import GaussianRational, ONE, ZERO, parse_rational
 
@@ -40,46 +42,32 @@ class JacobiError(ValueError):
 class LieAlgebra:
     """A finite-dimensional Lie algebra with exact structure constants.
 
-    Brackets are stored for basis index pairs ``i < j`` (0-based) as sparse
-    coefficient dicts; antisymmetry is built into the accessors.
+    ``brackets[i, j]`` (0-based, ``i < j``) maps ``k`` to the coefficient of
+    ``e_k`` in ``[e_i, e_j]``.  The algebra is held as ``table``, a
+    :class:`~kuranishi.dgla.Dgla` concentrated in degree zero with basis
+    ``e1..en`` whose bracket table holds both orders of every nonzero pair;
+    construction runs it through the DGLA axiom gate, which on such a table
+    can only find the Jacobi identity failing.
     """
 
-    __slots__ = ("dim", "brackets")
+    __slots__ = ("dim", "table")
 
-    def __init__(
-        self,
-        dim: int,
-        brackets: Mapping[tuple[int, int], Mapping[int, object]],
-        validate: bool = True,
-    ) -> None:
-        self.dim = dim
-        table: dict[tuple[int, int], dict[int, GaussianRational]] = {}
-        for (i, j), coeffs in brackets.items():
+    def __init__(self, dim: int, brackets: Mapping[tuple[int, int], Mapping[int, object]]) -> None:
+        for i, j in brackets:
             if not (0 <= i < j < dim):
                 raise ValueError(f"bad bracket index pair ({i}, {j}) for dim {dim}")
-            clean = {
-                k: GaussianRational.coerce(c)  # type: ignore[arg-type]
-                for k, c in coeffs.items()
-            }
-            clean = {k: c for k, c in clean.items() if not c.is_zero()}
-            for k in clean:
-                if not 0 <= k < dim:
-                    raise ValueError(f"bracket target index {k} out of range")
-            if clean:
-                table[(i, j)] = clean
-        self.brackets = table
-        if validate:
-            failures = self.jacobi_failures()
-            if failures:
-                i, j, k = failures[0]
-                raise JacobiError(
-                    f"Jacobi identity fails on basis triple ({i + 1}, {j + 1}, {k + 1})"
-                )
+        self.dim = dim
+        self.table = Dgla.from_bracket_entries(
+            {0: [f"e{i + 1}" for i in range(dim)]},
+            {},
+            {((0, i), (0, j)): coeffs for (i, j), coeffs in brackets.items()},
+        )
+        failures = dgla_axiom_failures(self.table, max_failures=1)
+        if failures:
+            raise JacobiError(failures[0])
 
     @classmethod
-    def from_entries(
-        cls, dim: int, entries: Iterable[tuple[int, int, int, object]], validate: bool = True
-    ) -> "LieAlgebra":
+    def from_entries(cls, dim: int, entries: Iterable[tuple[int, int, int, object]]) -> "LieAlgebra":
         """Build from 1-based ``(i, j, k, coeff)`` rows meaning [e_i, e_j] = sum coeff * e_k."""
         table: dict[tuple[int, int], dict[int, GaussianRational]] = {}
         for i, j, k, coeff in entries:
@@ -90,47 +78,26 @@ class LieAlgebra:
                 i, j, c = j, i, -c
             slot = table.setdefault((i - 1, j - 1), {})
             slot[k - 1] = slot.get(k - 1, ZERO) + c
-        return cls(dim, table, validate=validate)
+        return cls(dim, table)
 
     # -- bracket evaluation -------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> dict[int, GaussianRational]:
-        """Coefficients of [e_i, e_j] (any index order; antisymmetric)."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
+        """Coefficients of [e_i, e_j] (any index order)."""
+        return dict(self.table.brackets.get(((0, i), (0, j)), {}))
 
     def bracket_vectors(self, u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> Vector:
         """Bilinear extension of the bracket to coordinate vectors."""
         out = [ZERO] * self.dim
-        for (i, j), coeffs in self.brackets.items():
-            factor = u[i] * v[j] - u[j] * v[i]
+        for ((_, i), (_, j)), coeffs in self.table.brackets.items():
+            factor = u[i] * v[j]
             if factor.is_zero():
                 continue
             for k, c in coeffs.items():
                 out[k] = out[k] + factor * c
         return tuple(out)
 
-    # -- identities / invariants ------------------------------------------------
-
-    def jacobi_failures(self) -> list[tuple[int, int, int]]:
-        """Basis triples (i < j < k) on which the Jacobi identity fails."""
-        failures = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    acc = [ZERO] * self.dim
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_basis(b, c)
-                        for t, coeff in inner.items():
-                            outer = self.bracket_basis(a, t)
-                            for s, c2 in outer.items():
-                                acc[s] = acc[s] + coeff * c2
-                    if any(not v.is_zero() for v in acc):
-                        failures.append((i, j, k))
-        return failures
+    # -- invariants ------------------------------------------------------------
 
     def lower_central_series(self) -> list[int]:
         """Dimensions of g = g^1 >= g^2 = [g, g^1] >= ... down to 0 (0 excluded)."""
@@ -155,10 +122,10 @@ class LieAlgebra:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return self.dim == other.dim and self.brackets == other.brackets
+        return self.dim == other.dim and self.table == other.table
 
     def __repr__(self) -> str:
-        return f"LieAlgebra(dim={self.dim}, nonzero_pairs={len(self.brackets)})"
+        return f"LieAlgebra(dim={self.dim}, nonzero_pairs={len(self.table.brackets) // 2})"
 
 
 # -- compact description strings ------------------------------------------------
@@ -206,7 +173,7 @@ def parse_salamon(text: str) -> LieAlgebra:
             entry = GaussianRational(-(sign * coeff))
             slot_map = table.setdefault((i - 1, j - 1), {})
             slot_map[k] = slot_map.get(k, ZERO) + entry
-    return LieAlgebra(dim, table, validate=True)
+    return LieAlgebra(dim, table)
 
 
 def _split_terms(slot: str, full: str) -> list[tuple[int, str]]:

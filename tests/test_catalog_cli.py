@@ -252,6 +252,19 @@ def test_cli_validate_curvature_that_breaks_axioms_exits_two(tmp_path, capsys):
     ) in out.splitlines()
 
 
+def test_cli_validate_constants_that_break_jacobi_exit_two(capsys):
+    config = _inline_torus()
+    # [e1, [e2, e3]] = [e1, e4] = e5 while the other two cyclic terms vanish
+    config["lieAlgebra"]["constants"] = [[1, 2, 3, 1], [2, 3, 4, 1], [1, 4, 5, 1]]
+    assert main(["validate", json.dumps(config)]) == 2
+    captured = capsys.readouterr()
+    printed = captured.out + captured.err
+    assert [line for line in printed.splitlines() if line.startswith("error:")] == [
+        "error: lieAlgebra: graded Jacobi identity fails on (e1, e2, e3)"
+    ]
+    assert "Traceback" not in printed
+
+
 @pytest.mark.parametrize("command", ["analyze", "validate"])
 def test_cli_unwritable_output_is_bad_input(tmp_path, capsys, command):
     target = tmp_path / "missing" / "report.json"

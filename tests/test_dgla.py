@@ -38,16 +38,6 @@ def harmonic_projection(record: HodgeDegree, n: int) -> ExactMatrix:
     return ExactMatrix.from_columns(columns, nrows=n) @ record.harmonic_coordinates
 
 
-def degree_zero_dgla(algebra: LieAlgebra) -> Dgla:
-    """View a Lie algebra as a DGLA concentrated in degree zero."""
-    labels = {0: [f"e{i + 1}" for i in range(algebra.dim)]}
-    entries = {
-        ((0, i), (0, j)): {k: c for k, c in row.items()}
-        for (i, j), row in algebra.brackets.items()
-    }
-    return Dgla.from_bracket_entries(labels, {}, entries)
-
-
 def chain_dgla() -> Dgla:
     """Abelian DGLA with d(a) = d(b) = u and d(w) = s."""
     basis = {0: ["a", "b"], 1: ["u", "v", "w"], 2: ["s"]}
@@ -75,7 +65,7 @@ def test_valid_examples_pass() -> None:
         chain_dgla(),
         weight_dgla(),
         odd_square_dgla(),
-        degree_zero_dgla(LieAlgebra.from_entries(6, [(1, 2, 3, 1), (4, 5, 6, 1)])),
+        LieAlgebra.from_entries(6, [(1, 2, 3, 1), (4, 5, 6, 1)]).table,
     ):
         assert dgla_axiom_failures(dgla) == []
         validate_dgla(dgla)
@@ -173,6 +163,19 @@ def test_inconsistent_mirror_rejected() -> None:
         Dgla.from_bracket_entries({0: ["a", "b", "c"]}, {}, entries)
 
 
+@pytest.mark.parametrize("mirror", [{2: 1}, {2: 0}, {}, {1: -1}])
+def test_inconsistent_mirror_rejected_in_either_order(mirror: dict) -> None:
+    """A supplied mirror that disagrees with its pair is rejected whichever
+    comes first, also when it cleans to zero."""
+    pair, flipped = ((0, 0), (0, 1)), ((0, 1), (0, 0))
+    for entries in ({pair: {2: 1}, flipped: mirror}, {flipped: mirror, pair: {2: 1}}):
+        with pytest.raises(ValueError, match="inconsistent bracket entries"):
+            Dgla.from_bracket_entries({0: ["a", "b", "c"]}, {}, entries)
+    consistent = {flipped: {2: -1}, pair: {2: 1}}
+    dgla = Dgla.from_bracket_entries({0: ["a", "b", "c"]}, {}, consistent)
+    assert dgla.brackets == {flipped: {2: G(-1)}, pair: {2: G(1)}}
+
+
 def test_structural_validation() -> None:
     with pytest.raises(ValueError):
         Dgla({0: ["a"], 1: ["u"]}, {0: ExactMatrix([[1, 0]])}, {})
@@ -260,18 +263,20 @@ def test_bracket_vectors_with_polynomial_coordinates() -> None:
 
 
 def test_degree_zero_bracket_matches_lie_algebra() -> None:
-    algebra = LieAlgebra.from_entries(6, [(1, 2, 3, 1), (4, 5, 6, 1)])
-    dgla = degree_zero_dgla(algebra)
-    units = [
-        [ONE if k == i else ZERO for k in range(algebra.dim)]
-        for i in range(algebra.dim)
-    ]
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            via_dgla = bracket_vectors(dgla, 0, units[i], 0, units[j])
+    rows = [(1, 2, 3, 1), (4, 5, 6, 1)]
+    algebra = LieAlgebra.from_entries(6, rows)
+    expected = [[[ZERO] * 6 for _ in range(6)] for _ in range(6)]
+    for i, j, k, c in rows:
+        expected[i - 1][j - 1][k - 1] = G(c)
+        expected[j - 1][i - 1][k - 1] = G(-c)
+    units = [[ONE if k == i else ZERO for k in range(6)] for i in range(6)]
+    for i in range(6):
+        for j in range(6):
+            via_dgla = bracket_vectors(algebra.table, 0, units[i], 0, units[j])
             sparse = algebra.bracket_basis(i, j)
-            expected = [sparse.get(k, ZERO) for k in range(algebra.dim)]
-            assert expected == via_dgla
+            assert expected[i][j] == via_dgla
+            assert expected[i][j] == [sparse.get(k, ZERO) for k in range(6)]
+            assert tuple(expected[i][j]) == algebra.bracket_vectors(units[i], units[j])
 
 
 def test_equality_is_structural() -> None:

@@ -9,11 +9,13 @@ module that uses it.
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 from kuranishi.dgla import Dgla
+from kuranishi.lie import LieAlgebra
 from kuranishi.scalars import GaussianRational
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kuranishi"
@@ -115,3 +117,27 @@ def test_the_package_keeps_one_ring_for_vectors() -> None:
         )
     ]
     assert takes_zero == []
+
+
+def test_lie_algebras_have_one_jacobi_check() -> None:
+    """``LieAlgebra`` holds its constants as a degree-zero ``Dgla`` and
+    checks them through the axiom gate of ``dgla.py``: it keeps no dense
+    Jacobi loop of its own (the frozen ``tests/oracle_lie.py`` does), no
+    parameter that skips the check, and no other module defines a Jacobi
+    function."""
+    assert not hasattr(LieAlgebra, "jacobi_failures")
+    takes_validate = [
+        method.__name__
+        for method in (LieAlgebra.__init__, LieAlgebra.from_entries)
+        if "validate" in inspect.signature(method).parameters
+    ]
+    assert takes_validate == []
+    jacobi_functions = [
+        f"{name}: {node.name}"
+        for name in MODULES
+        if name != "dgla.py"
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "jacobi" in node.name.lower()
+    ]
+    assert jacobi_functions == []
