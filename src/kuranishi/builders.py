@@ -93,11 +93,9 @@ def _contraction_coefficients(structure: ComplexStructure) -> list[LegTable]:
     lam: list[LegTable] = [[{} for _ in range(m)] for _ in range(m)]
     for a in range(m):
         for b in range(m):
-            coords = structure.frame_bracket(a, m + b)
-            for j in range(m):
-                c = -coords[m + j]
-                if not c.is_zero():
-                    lam[a][j][(b,)] = c
+            for c, v in structure.frame_bracket(a, m + b).items():
+                if c >= m:
+                    lam[a][c - m][(b,)] = -v
     return lam
 
 
@@ -111,10 +109,9 @@ def _dbar_coefficients(structure: ComplexStructure) -> LegTable:
     m = structure.m
     dbar: LegTable = [{} for _ in range(m)]
     for a, b in combinations(range(m), 2):
-        coords = structure.frame_bracket(m + a, m + b)
-        for j in range(m):
-            if not coords[m + j].is_zero():
-                dbar[j][(a, b)] = -coords[m + j]
+        for c, v in structure.frame_bracket(m + a, m + b).items():
+            if c >= m:
+                dbar[c - m][(a, b)] = -v
     return dbar
 
 
@@ -154,8 +151,7 @@ def _value_bracket(
     """
     m = structure.m
     if x < m and y < m:
-        hol = structure.frame_bracket(x, y)[:m]
-        return [(c, coeff) for c, coeff in enumerate(hol) if not coeff.is_zero()]
+        return [(c, coeff) for c, coeff in structure.frame_bracket(x, y).items() if c < m]
     if x < m or y < m:
         return []
     (u, v), (s, t) = divmod(x - m, rank), divmod(y - m, rank)
@@ -379,11 +375,7 @@ def build_pair_dgla(
     dbar = _dbar_coefficients(structure)
     # the holomorphic part of [conj W_b, W_x], read by the W action
     w_action = {
-        (b, x): [
-            (c, v)
-            for c, v in enumerate(structure.frame_bracket(m + b, x)[:m])
-            if not v.is_zero()
-        ]
+        (b, x): [(c, v) for c, v in structure.frame_bracket(m + b, x).items() if c < m]
         for b in range(m)
         for x in range(m)
     }

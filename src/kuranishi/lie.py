@@ -11,9 +11,10 @@ so a token ``"12"`` in slot 3 means ``d e^3 = e^1 ^ e^2``, i.e. the bracket
 ``[e_1, e_2] = -e_3``.
 
 A :class:`ComplexStructure` is a choice of (1,0)-frame ``W_1..W_m`` inside the
-complexified algebra.  It provides the classification predicates (integrable,
-abelian, parallelizable) and the frame-basis structure constants; the
-calculus of (0,q)-forms built on those constants lives in
+complexified algebra.  It holds the same algebra in the doubled frame
+``W_1..W_m, conj W_1..conj W_m``, again as a degree-zero DGLA, and reads the
+classification predicates (integrable, abelian, parallelizable) off that
+table; the calculus of (0,q)-forms built on those constants lives in
 :mod:`kuranishi.builders`.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .dgla import Dgla, dgla_axiom_failures
@@ -81,10 +83,6 @@ class LieAlgebra:
         return cls(dim, table)
 
     # -- bracket evaluation -------------------------------------------------
-
-    def bracket_basis(self, i: int, j: int) -> dict[int, GaussianRational]:
-        """Coefficients of [e_i, e_j] (any index order)."""
-        return dict(self.table.brackets.get(((0, i), (0, j)), {}))
 
     def bracket_vectors(self, u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> Vector:
         """Bilinear extension of the bracket to coordinate vectors."""
@@ -204,18 +202,14 @@ class ComplexStructure:
 
     ``frame[a]`` is the coordinate vector of ``W_{a+1}`` in the algebra's real
     basis, with exact Gaussian-rational entries.  The frame together with its
-    conjugate must be a basis of the complexified algebra.
+    conjugate must be a basis of the complexified algebra.  The algebra in
+    that doubled frame is held as ``table``, a degree-zero
+    :class:`~kuranishi.dgla.Dgla` with basis ``W1..Wm, conj W1..conj Wm``
+    whose bracket table holds both orders of every nonzero pair.  A change
+    of basis keeps the algebra's Jacobi identity, so it is not checked again.
     """
 
-    __slots__ = (
-        "algebra",
-        "m",
-        "frame",
-        "frame_matrix",
-        "basis_matrix",
-        "basis_inverse",
-        "_constants",
-    )
+    __slots__ = ("algebra", "m", "frame", "table")
 
     def __init__(self, algebra: LieAlgebra, frame: Sequence[Sequence[object]]) -> None:
         if algebra.dim % 2 != 0:
@@ -232,18 +226,22 @@ class ComplexStructure:
         self.algebra = algebra
         self.m = m
         self.frame = vectors
-        conjugates = [tuple(v.conjugate() for v in vec) for vec in vectors]
-        self.frame_matrix = ExactMatrix.from_columns([list(v) for v in vectors])
-        self.basis_matrix = ExactMatrix.from_columns(
-            [list(v) for v in vectors] + [list(v) for v in conjugates]
-        )
+        doubled = vectors + [tuple(v.conjugate() for v in vec) for vec in vectors]
         try:
-            self.basis_inverse = inverse(self.basis_matrix)
+            to_frame = inverse(ExactMatrix.from_columns(doubled))
         except ValueError:
             raise ValueError(
                 "frame and its conjugate do not span the complexified algebra"
             ) from None
-        self._constants: dict[tuple[int, int], Vector] | None = None
+        pairs = list(combinations(range(2 * m), 2))
+        images = [algebra.bracket_vectors(doubled[a], doubled[b]) for a, b in pairs]
+        coords = (to_frame @ ExactMatrix.from_columns(images)).columns()
+        labels = [f"W{a + 1}" for a in range(m)] + [f"conj W{a + 1}" for a in range(m)]
+        self.table = Dgla.from_bracket_entries(
+            {0: labels},
+            {},
+            {((0, a), (0, b)): dict(enumerate(c)) for (a, b), c in zip(pairs, coords)},
+        )
 
     @classmethod
     def from_j_matrix(cls, algebra: LieAlgebra, j_rows: Sequence[Sequence[object]]) -> "ComplexStructure":
@@ -270,43 +268,14 @@ class ComplexStructure:
 
     # -- frame-basis structure constants -----------------------------------------
 
-    def conjugate_vector(self, vec: Sequence[GaussianRational]) -> Vector:
-        return tuple(v.conjugate() for v in vec)
+    def frame_bracket(self, alpha: int, beta: int) -> Mapping[int, GaussianRational]:
+        """[V_alpha, V_beta] of the doubled frame (W_1..W_m, conj W_1..conj W_m)
+        as ``{gamma: coeff}`` in doubled-frame coordinates, ascending in
+        ``gamma`` and ``{}`` when zero (any index order).
 
-    def frame_vector(self, alpha: int) -> Vector:
-        """The alpha-th vector of the doubled frame (W_1..W_m, conj W_1..conj W_m)."""
-        if alpha < self.m:
-            return self.frame[alpha]
-        return self.conjugate_vector(self.frame[alpha - self.m])
-
-    def frame_constants(self) -> dict[tuple[int, int], Vector]:
-        """Brackets of doubled-frame vectors in doubled-frame coordinates.
-
-        Key (alpha, beta) with alpha < beta in 0..2m-1; value is the
-        coordinate vector of [V_alpha, V_beta] in the doubled frame.
+        The entry is the table's own dict: read, never change it.
         """
-        if self._constants is None:
-            table: dict[tuple[int, int], Vector] = {}
-            for alpha in range(2 * self.m):
-                for beta in range(alpha + 1, 2 * self.m):
-                    w = self.algebra.bracket_vectors(
-                        self.frame_vector(alpha), self.frame_vector(beta)
-                    )
-                    coords = self.basis_inverse.apply(w)
-                    if any(not c.is_zero() for c in coords):
-                        table[(alpha, beta)] = coords
-            self._constants = table
-        return self._constants
-
-    def frame_bracket(self, alpha: int, beta: int) -> Vector:
-        """[V_alpha, V_beta] in doubled-frame coordinates (any index order)."""
-        zero = tuple([ZERO] * (2 * self.m))
-        if alpha == beta:
-            return zero
-        if alpha < beta:
-            return self.frame_constants().get((alpha, beta), zero)
-        flipped = self.frame_constants().get((beta, alpha), zero)
-        return tuple(-c for c in flipped)
+        return self.table.brackets.get(((0, alpha), (0, beta)), {})
 
     # -- classification -------------------------------------------------------------
 
@@ -316,30 +285,20 @@ class ComplexStructure:
 
     def integrability_failures(self) -> list[tuple[int, int]]:
         """1-based pairs (a, b), a < b, where [W_a, W_b] has a (0,1)-part."""
-        out = []
-        for a in range(self.m):
-            for b in range(a + 1, self.m):
-                coords = self.frame_bracket(a, b)
-                if any(not c.is_zero() for c in coords[self.m :]):
-                    out.append((a + 1, b + 1))
-        return out
+        return [
+            (a + 1, b + 1)
+            for a, b in combinations(range(self.m), 2)
+            if any(gamma >= self.m for gamma in self.frame_bracket(a, b))
+        ]
 
     def is_abelian(self) -> bool:
         """[W_a, W_b] = 0 for all a, b (the frame spans an abelian subalgebra)."""
-        for a in range(self.m):
-            for b in range(a + 1, self.m):
-                if any(not c.is_zero() for c in self.frame_bracket(a, b)):
-                    return False
-        return True
+        return not any(self.frame_bracket(a, b) for a, b in combinations(range(self.m), 2))
 
     def is_parallelizable(self) -> bool:
         """[W_a, conj W_b] = 0 for all a, b (frame brackets close holomorphically)."""
-        for a in range(self.m):
-            for b in range(self.m):
-                coords = self.frame_bracket(a, self.m + b)
-                if any(not c.is_zero() for c in coords):
-                    return False
-        return True
+        m = self.m
+        return not any(self.frame_bracket(a, m + b) for a in range(m) for b in range(m))
 
     def classify(self) -> dict[str, object]:
         series = self.algebra.lower_central_series()
@@ -358,5 +317,5 @@ class ComplexStructure:
         if q.nrows != self.m or q.ncols != self.m:
             raise ValueError("frame change must be m x m")
         inverse(q)  # raises if singular
-        new_frame = (self.frame_matrix @ q).columns()
+        new_frame = (ExactMatrix.from_columns(self.frame) @ q).columns()
         return ComplexStructure(self.algebra, [list(v) for v in new_frame])

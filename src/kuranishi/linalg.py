@@ -17,8 +17,8 @@ All decisions that depend on basis choices are made deterministic:
   rows mapped back), so a caller can pick coordinate complements under
   either convention.
 
-``ExactMatrix.apply`` is the one matrix-vector product.  Every vector here,
-for ``apply`` and ``EchelonBasis`` alike, is a vector of scalars.
+``ExactMatrix.__matmul__`` is the one matrix product.  Every vector here,
+for ``EchelonBasis`` and ``kernel_basis`` alike, is a vector of scalars.
 """
 
 from __future__ import annotations
@@ -159,20 +159,6 @@ class ExactMatrix:
                     if not b.is_zero():
                         dest[j] = dest[j] + a * b
         return ExactMatrix(out, ncols=other.ncols)
-
-    def apply(self, vec: Sequence[GaussianRational]) -> Vector:
-        """Matrix-vector product (vector indexed by columns)."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        out: list[GaussianRational] = []
-        for row in self.rows:
-            acc = ZERO
-            for coeff, x in zip(row, vec):
-                if coeff.is_zero() or x.is_zero():
-                    continue
-                acc = acc + coeff * x
-            out.append(acc)
-        return tuple(out)
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.rows)

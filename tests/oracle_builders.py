@@ -11,19 +11,32 @@ module of the time the builder took over the (0,q)-part of it.  Only the
 imports are rewritten to absolute ones.  The test suite compares the
 one-rule builder with it.
 
+The dense frame constants it reads, ``frame_constants`` and
+``frame_bracket`` with their helpers ``conjugate_vector`` and
+``frame_vector``, are the ``ComplexStructure`` methods of the time the
+structure began to hold its doubled-frame constants as a sparse table.
+Each became a function of the structure (``structure.frame_bracket(``
+is ``frame_bracket(structure, ``), and ``basis_inverse.apply(`` is
+``apply(basis_inverse, `` on the frozen ``oracle_maps``.  The edits to the
+logic: the structure no longer stores the inverse of its doubled frame,
+so ``frame_constants`` forms it, and the table it cached in a slot of the
+structure is cached by an ``lru_cache`` keyed on the structure object.
+
 Frozen at creation; do not edit when changing the builder.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
 from kuranishi.dgla import BasisKey, BracketTable, Dgla, DglaAxiomError, validate_dgla
 from kuranishi.lie import ComplexStructure
-from kuranishi.linalg import ExactMatrix
+from kuranishi.linalg import ExactMatrix, Vector, inverse
 from kuranishi.scalars import GaussianRational, ONE, ZERO
+from oracle_maps import apply
 
 __all__ = [
     "PairDgla",
@@ -31,6 +44,53 @@ __all__ = [
     "build_endomorphism_dgla",
     "build_pair_dgla",
 ]
+
+
+# -- copied from ``ComplexStructure`` of the time it held dense constants ----
+
+
+def conjugate_vector(vec: Sequence[GaussianRational]) -> Vector:
+    return tuple(v.conjugate() for v in vec)
+
+
+def frame_vector(structure: ComplexStructure, alpha: int) -> Vector:
+    """The alpha-th vector of the doubled frame (W_1..W_m, conj W_1..conj W_m)."""
+    if alpha < structure.m:
+        return structure.frame[alpha]
+    return conjugate_vector(structure.frame[alpha - structure.m])
+
+
+@functools.lru_cache(maxsize=64)
+def frame_constants(structure: ComplexStructure) -> dict[tuple[int, int], Vector]:
+    """Brackets of doubled-frame vectors in doubled-frame coordinates.
+
+    Key (alpha, beta) with alpha < beta in 0..2m-1; value is the
+    coordinate vector of [V_alpha, V_beta] in the doubled frame.
+    """
+    vectors = [list(v) for v in structure.frame]
+    conjugates = [list(conjugate_vector(v)) for v in structure.frame]
+    basis_inverse = inverse(ExactMatrix.from_columns(vectors + conjugates))
+    table: dict[tuple[int, int], Vector] = {}
+    for alpha in range(2 * structure.m):
+        for beta in range(alpha + 1, 2 * structure.m):
+            w = structure.algebra.bracket_vectors(
+                frame_vector(structure, alpha), frame_vector(structure, beta)
+            )
+            coords = apply(basis_inverse, w)
+            if any(not c.is_zero() for c in coords):
+                table[(alpha, beta)] = coords
+    return table
+
+
+def frame_bracket(structure: ComplexStructure, alpha: int, beta: int) -> Vector:
+    """[V_alpha, V_beta] in doubled-frame coordinates (any index order)."""
+    zero = tuple([ZERO] * (2 * structure.m))
+    if alpha == beta:
+        return zero
+    if alpha < beta:
+        return frame_constants(structure).get((alpha, beta), zero)
+    flipped = frame_constants(structure).get((beta, alpha), zero)
+    return tuple(-c for c in flipped)
 
 
 # -- copied from the ``lie`` module of the same time ---------------------------
@@ -77,7 +137,7 @@ def _coframe_differentials(structure: ComplexStructure) -> list[list[tuple[int, 
     out: list[list[tuple[int, int, GaussianRational]]] = [
         [] for _ in range(2 * structure.m)
     ]
-    for (alpha, beta), coords in structure.frame_constants().items():
+    for (alpha, beta), coords in frame_constants(structure).items():
         for gamma, coeff in enumerate(coords):
             if not coeff.is_zero():
                 out[gamma].append((alpha, beta, -coeff))
@@ -167,7 +227,7 @@ def _contraction_coefficients(
     ]
     for a in range(m):
         for b in range(m):
-            coords = structure.frame_bracket(a, m + b)
+            coords = frame_bracket(structure, a, m + b)
             for j in range(m):
                 c = -coords[m + j]
                 if not c.is_zero():
@@ -252,7 +312,7 @@ def build_deformation_dgla(structure: ComplexStructure, *, check: bool = True) -
                         continue
                     new_word, sign = _normalize_word((b,) + word)
                     base = index[q + 1][new_word] * m
-                    action = structure.frame_bracket(m + b, a)
+                    action = frame_bracket(structure, m + b, a)
                     for c in range(m):
                         v = action[c]
                         if not v.is_zero():
@@ -307,7 +367,7 @@ def _deformation_bracket(
     normalized = _normalize_word(word_a + word_b)
     if normalized is not None:
         word, sign = normalized
-        hol = structure.frame_bracket(a, b)
+        hol = frame_bracket(structure, a, b)
         for c in range(m):
             add(word, c, hol[c] * sign)
     for new_word, s1, coeff in _replace_slots(word_b, lam[a]):

@@ -14,7 +14,9 @@ reference.  Nothing else changed.
 The ring-generic maps it calls left the package for the frozen
 ``oracle_maps``; they are imported from there and called as functions of
 their former owner (``dgla.bracket_vectors(`` became
-``bracket_vectors(dgla, ``), with the same logic.
+``bracket_vectors(dgla, ``), with the same logic.  The scalar
+``ExactMatrix.apply`` later left the package too; its two calls here are
+spelled ``apply(matrix, `` on the same map of ``oracle_maps``.
 
 Frozen at creation; do not edit when changing the engine.
 """
@@ -50,7 +52,7 @@ def _delta_bracket(
     v: Sequence[GaussianRational],
 ) -> Vector:
     bracket = bracket_vectors(problem.dgla, 1, list(u), 1, list(v))
-    return problem.homotopy(2).apply(bracket)
+    return apply(problem.homotopy(2), bracket)
 
 
 def _closure_certificate(problem: KuranishiProblem) -> dict | None:
@@ -80,7 +82,7 @@ def _closure_certificate(problem: KuranishiProblem) -> dict | None:
         for a, u in enumerate(basis):
             for v in basis[a:]:
                 bracket = bracket_vectors(problem.dgla, 1, u, 1, v)
-                coords = record.harmonic_coordinates.apply(bracket)
+                coords = apply(record.harmonic_coordinates, bracket)
                 if any(not c.is_zero() for c in coords):
                     return None
     return {"spanDimension": len(basis)}

@@ -613,9 +613,9 @@ def test_kernel_scalar_entry_matches_the_reference_maps(name):
                 same = view_v is view_u
                 bracket = bracket_vectors(dgla, 1, u, 1, v)
                 factor = G(Fraction(-1, 2)) if same else G(-1)
-                delta = [factor * c for c in problem.homotopy(2).apply(bracket)]
+                delta = [factor * c for c in apply(problem.homotopy(2), bracket)]
                 assert kernel.scalars(kernel.delta(view_u, view_v)) == delta
-                coordinates = record.harmonic_coordinates.apply(bracket) if record else ()
+                coordinates = apply(record.harmonic_coordinates, bracket) if record else ()
                 doubled = [problem.ring.constant(c if same else 2 * c) for c in coordinates]
                 assert kernel.coordinates(kernel.bracket_sum([(view_u, view_v)])) == doubled
 

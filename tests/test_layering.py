@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from kuranishi.dgla import Dgla
-from kuranishi.lie import LieAlgebra
+from kuranishi.lie import ComplexStructure, LieAlgebra
+from kuranishi.linalg import ExactMatrix
 from kuranishi.scalars import GaussianRational
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kuranishi"
@@ -141,3 +142,32 @@ def test_lie_algebras_have_one_jacobi_check() -> None:
         and "jacobi" in node.name.lower()
     ]
     assert jacobi_functions == []
+
+
+def test_one_matrix_product_and_one_frame_table() -> None:
+    """``@`` is the package's one matrix product: ``ExactMatrix`` has no
+    ``apply`` and no package module calls one.  ``ComplexStructure`` holds
+    its doubled-frame constants as one sparse table, with no dense path,
+    cache slot or stored basis inverse beside it, and ``LieAlgebra`` is
+    read through its table, with no accessor of its own."""
+    assert not hasattr(ExactMatrix, "apply")
+    calls = [
+        f"{name}: .apply("
+        for name in MODULES
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "apply"
+    ]
+    assert calls == []
+    dense = (
+        "frame_constants",
+        "frame_vector",
+        "conjugate_vector",
+        "basis_inverse",
+        "basis_matrix",
+        "frame_matrix",
+        "_constants",
+    )
+    assert [name for name in dense if hasattr(ComplexStructure, name)] == []
+    assert not hasattr(LieAlgebra, "bracket_basis")

@@ -82,8 +82,8 @@ def iwasawa_structure() -> ComplexStructure:
 
 def test_bracket_antisymmetry_and_bilinearity() -> None:
     alg = heisenberg_double()
-    assert alg.bracket_basis(0, 1) == {2: G(1)}
-    assert alg.bracket_basis(1, 0) == {2: G(-1)}
+    assert alg.table.brackets.get(((0, 0), (0, 1)), {}) == {2: G(1)}
+    assert alg.table.brackets.get(((0, 1), (0, 0)), {}) == {2: G(-1)}
     u = [G(2), G(0, 1), 0, 0, 0, 0]
     v = [0, G(1), 0, 0, 0, 0]
     u = [G.coerce(x) for x in u]
@@ -116,14 +116,14 @@ def test_lower_central_series_lengths() -> None:
 def test_parse_sign_convention() -> None:
     alg = parse_salamon("(0,0,12)")
     # d e^3 = e^1 ^ e^2 corresponds to [e1, e2] = -e3
-    assert alg.bracket_basis(0, 1) == {2: G(-1)}
+    assert alg.table.brackets.get(((0, 0), (0, 1)), {}) == {2: G(-1)}
 
 
 def test_parse_coefficients() -> None:
     alg = parse_salamon("(0,0,2*12,0,0,1/2*45-13)")
-    assert alg.bracket_basis(0, 1) == {2: G(-2)}
-    assert alg.bracket_basis(3, 4) == {5: G("-1/2")}
-    assert alg.bracket_basis(0, 2) == {5: G(1)}
+    assert alg.table.brackets.get(((0, 0), (0, 1)), {}) == {2: G(-2)}
+    assert alg.table.brackets.get(((0, 3), (0, 4)), {}) == {5: G("-1/2")}
+    assert alg.table.brackets.get(((0, 0), (0, 2)), {}) == {5: G(1)}
 
 
 @pytest.mark.parametrize(
@@ -162,9 +162,7 @@ def test_example2_corrected_is_abelian() -> None:
     assert cs.is_abelian()
     assert not cs.is_parallelizable()
     # the only surviving mixed bracket: [conj W1, W2] = -W3
-    coords = cs.frame_bracket(3, 1)
-    expected = [0, 0, -1, 0, 0, 0]
-    assert list(coords) == [G.coerce(v) for v in expected]
+    assert cs.frame_bracket(3, 1) == {2: G(-1)}
 
 
 def test_iwasawa_is_parallelizable() -> None:
@@ -173,8 +171,7 @@ def test_iwasawa_is_parallelizable() -> None:
     assert cs.is_parallelizable()
     assert not cs.is_abelian()
     # holomorphic structure constants: [W1, W2] = -W3
-    coords = cs.frame_bracket(0, 1)
-    assert list(coords) == [G.coerce(v) for v in [0, 0, -1, 0, 0, 0]]
+    assert cs.frame_bracket(0, 1) == {2: G(-1)}
 
 
 def test_example2_literal_reading_not_integrable() -> None:
@@ -376,7 +373,8 @@ def test_structure_constants_rebuilt_from_differential() -> None:
                         if not value.is_zero():
                             rebuilt.setdefault(words[row], {})[col + m * q] = -value
         expected = {
-            pair: {gamma: c for gamma, c in enumerate(coords) if not c.is_zero()}
-            for pair, coords in cs.frame_constants().items()
+            (alpha, beta): entry
+            for ((_, alpha), (_, beta)), entry in cs.table.brackets.items()
+            if alpha < beta
         }
         assert rebuilt == expected
