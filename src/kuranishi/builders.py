@@ -145,13 +145,14 @@ def _value_bracket(
 ) -> list[tuple[int, GaussianRational]]:
     """``[x, y]`` of two values as ``(value, coeff)`` terms.
 
-    The holomorphic part of the frame bracket on W, the commutator on gl_r,
-    and zero between the two: a W value reaches a gl_r-valued form through
-    its form part only.
+    The frame bracket on W, the commutator on gl_r, and zero between the
+    two: a W value reaches a gl_r-valued form through its form part only.
+    [W_x, W_y] has no (0,1)-part, since ``_integrability_gate`` rejects any
+    structure where it has one before the builder reads a bracket.
     """
     m = structure.m
     if x < m and y < m:
-        return [(c, coeff) for c, coeff in structure.frame_bracket(x, y).items() if c < m]
+        return list(structure.frame_bracket(x, y).items())
     if x < m or y < m:
         return []
     (u, v), (s, t) = divmod(x - m, rank), divmod(y - m, rank)

@@ -19,11 +19,13 @@ Given a DGLA built by :mod:`kuranishi.builders`, this module
 * certifies exactness of the resulting obstruction ideal by one of three
   routes (termination doubling, bracket closure of the harmonic span, or a
   rational fixed point for the correction tail), falling back to an honest
-  truncation that refuses to certify; both span routes evaluate their
-  brackets on the same integer views as the series;
+  truncation that refuses to certify; both span routes read their first
+  round of brackets off the series' degree-two term and evaluate the rest
+  on the same integer views as the series;
 * decides smoothness of the resulting cone germ through a decision tree
   whose workhorse is a budgeted decomposition of the variety into linear
-  leaves;
+  leaves; the germ's reduced basis finishes the one the generator
+  minimalization began, and each branch extends its parent's basis;
 * builds the product of two block germs from their reduced bases, with no
   Groebner run, and issues a splitting verdict by comparing the joint germ's
   reduced basis with the product germ's.
@@ -40,7 +42,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .dgla import Dgla, HodgeDegree, hodge_decomposition, integer_view
-from .groebner import minimalize_generators, normal_form, reduced_groebner_basis
+from .groebner import (
+    MinimalGenerators,
+    extend_reduced_basis,
+    minimalize_generators,
+    normal_form,
+    reduced_groebner_basis,
+)
 from .linalg import EchelonBasis, ExactMatrix, Vector
 from .poly import (
     MultiPoly,
@@ -387,7 +395,34 @@ def expand_series(
 # -- exactness certificates ---------------------------------------------------
 
 
-def _closure_certificate(problem: KuranishiProblem) -> dict | None:
+def _degree_two_coefficients(
+    problem: KuranishiProblem, series: dict[int, list[MultiPoly]]
+) -> list[list[GaussianRational]]:
+    """The nonzero coefficient vectors of ``t_a t_b`` in ``series[2]``, in
+    the order of the pairs ``a <= b``.
+
+    ``series[2]`` is ``-1/2 H[x1, x1]`` with ``x1 = sum t_a h_a``, so the
+    coefficient of ``t_a t_b`` is ``-H[h_a, h_b]`` for ``a < b`` and
+    ``-1/2 H[h_a, h_a]`` for ``a == b``: exactly ``kernel.delta(h_a, h_b)``,
+    the first round of either span route, already evaluated.  A zero one
+    grows no span, so it is left out.
+    """
+    term = series[2]
+    vectors: dict[int, list[GaussianRational]] = {}
+    for c, p in enumerate(term):
+        for m, coeff in p.terms.items():
+            vectors.setdefault(m, [ZERO] * len(term))[c] = coeff
+    monomial = problem.ring.variable_monomial
+    r = len(problem.parameters)
+    pairs = (monomial(a) + monomial(b) for a in range(r) for b in range(a, r))
+    return [vectors[m] for m in pairs if m in vectors]
+
+
+def _closure_certificate(
+    problem: KuranishiProblem,
+    series: dict[int, list[MultiPoly]],
+    obstructions: dict[int, list[MultiPoly]],
+) -> dict | None:
     """Bracket-closure certificate: every obstruction vanishes identically.
 
     Saturates the span of the degree-one harmonic representatives under the
@@ -400,14 +435,28 @@ def _closure_certificate(problem: KuranishiProblem) -> dict | None:
     decide both the closure and the harmonic check, which returns None at
     the first nonzero harmonic coordinate.  The series kernel evaluates
     the brackets; its factor 2 on a distinct pair changes neither check.
+
+    The first round, the brackets of two representatives, is read off the
+    series: their harmonic coordinates are the coefficients of
+    ``obstructions[2]``, the coordinates of ``[x1, x1]``, so the route
+    returns None when it is nonzero, and their corrections are the
+    coefficient vectors of ``series[2]``, which seed the list.
     """
+    if any(obstructions[2]):
+        return None
     kernel = problem._series_kernel
     reps = problem.harmonic_reps
     # the harmonic representatives are independent, so each grows the span
     span = EchelonBasis(problem.dgla.dim(1), reps)
     found = [kernel.constant(rep) for rep in reps]
-    # ``found`` grows while it is walked; each new vector is walked in turn
+    found += [
+        kernel.constant(w) for w in _degree_two_coefficients(problem, series) if span.add(w)
+    ]
+    # ``found`` grows while it is walked; each new vector is walked in turn,
+    # and the representatives, bracketed with each other above, are skipped
     for k, u in enumerate(found):
+        if k < len(reps):
+            continue
         for v in found[: k + 1]:
             bracket = kernel.bracket_sum([(u, v)])
             if any(kernel.coordinates(bracket)):
@@ -436,14 +485,14 @@ def _rational_certificate(
     Saturates the span of homotopy-corrected harmonic brackets under
     bracketing with single harmonic directions, by a worklist: seeded with
     ``delta[h_a, h_b]`` for ``a <= b`` (the degree-one bracket is
-    symmetric), each vector that grows the span is bracketed once with each
-    harmonic representative, which closes the span since the bracket is
-    bilinear.  The span must bracket to zero with itself after the
-    homotopy.  The correction tail then solves a linear system over the
-    parameter field, the obstruction generating function times ``q**2``
-    (``q`` the system determinant, ``q(0) = 1``) is a polynomial of some
-    degree ``D``, and a recurrence shows all obstructions above degree
-    ``D`` are redundant.  Every bracket is evaluated on the series kernel,
+    symmetric), read off ``series[2]`` as its coefficient vectors, each
+    vector that grows the span is bracketed once with each harmonic
+    representative, which closes the span since the bracket is bilinear.
+    The span must bracket to zero with itself after the homotopy.  The
+    correction tail then solves a linear system over the parameter field,
+    the obstruction generating function times ``q**2`` (``q`` the system
+    determinant, ``q(0) = 1``) is a polynomial of some degree ``D``, and a
+    recurrence shows all obstructions above degree ``D`` are redundant.  Every bracket is evaluated on the series kernel,
     whose ``delta`` is a nonzero multiple of ``H[u, v]``, so it spans what
     the homotopy-corrected brackets span.
 
@@ -455,8 +504,9 @@ def _rational_certificate(
     kernel = problem._series_kernel
     reps = [kernel.constant(rep) for rep in problem.harmonic_reps]
     span = EchelonBasis(n)
-    seeds = (kernel.delta(u, v) for a, u in enumerate(reps) for v in reps[a:])
-    found = [w for w in seeds if span.add(kernel.scalars(w))]
+    found = [
+        kernel.constant(w) for w in _degree_two_coefficients(problem, series) if span.add(w)
+    ]
     # ``found`` grows while it is walked; each new vector is walked in turn
     for w in found:
         for rep in reps:
@@ -610,7 +660,7 @@ def analyze_obstructions(
         certificate, data, table, cutoff = (
             "termination", {"terminationOrder": last}, obstructions, 2 * last
         )
-    elif (closure := _closure_certificate(problem)) is not None:
+    elif (closure := _closure_certificate(problem, series, obstructions)) is not None:
         if any(any(row) for row in obstructions.values()):
             raise RuntimeError(
                 "bracket-closure certificate contradicts a computed obstruction"
@@ -686,6 +736,9 @@ def _leaf_decomposition(
 
     Returns the list of leaf bases (each a reduced, all-linear basis), or
     None if an unfactorable generator or the node budget stops the search.
+    ``basis`` is a reduced Groebner basis, and each child's basis extends
+    its parent's by the one factor (:func:`extend_reduced_basis`): the
+    parent's elements form no pairs among each other.
     """
     stack = [basis]
     seen: set[tuple[MultiPoly, ...]] = set()
@@ -713,7 +766,7 @@ def _leaf_decomposition(
         if factors is None:
             return None
         for factor in factors:
-            stack.append(reduced_groebner_basis(current + [factor.monic()]))
+            stack.append(extend_reduced_basis(current, [factor]))
     return list(leaves.values())
 
 
@@ -736,6 +789,9 @@ def germ_invariants(
 
     Computes the reduced Groebner basis of the ideal once (none for an
     uncertified truncation) and runs the decision tree of :func:`_decide`.
+    Generators returned by :func:`minimalize_generators` carry the basis
+    their survivor test built, complete up to their top degree; the germ's
+    basis finishes it rather than starting over.
     """
     gens = [g for g in generators if not g.is_zero()]
     basis: list[MultiPoly] | None = None
@@ -743,7 +799,10 @@ def germ_invariants(
         for g in gens:
             if not g.is_homogeneous():
                 raise ValueError("germ analysis expects homogeneous generators")
-        basis = reduced_groebner_basis(gens) if gens else []
+        if isinstance(generators, MinimalGenerators):
+            basis = generators.reduced_basis()
+        else:
+            basis = reduced_groebner_basis(gens) if gens else []
     return _decide(ring, gens, basis)
 
 

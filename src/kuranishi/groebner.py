@@ -14,6 +14,15 @@ generators kept before it, truncated at its degree, and a kept generator
 joins that basis.  A redundancy test is then one normal form instead of a
 Groebner basis per candidate.
 
+A reduced basis is unique, so a basis the caller already holds can be
+carried on instead of computed again, with the same result, down to the
+order of its terms.  :func:`extend_reduced_basis` adds generators to a
+reduced basis whose elements enter as processed, forming no pairs among
+each other (the installation of Gebauer and Moeller, J. Symb. Comp. 6,
+1988); only the new elements' pairs go through the update.  The
+minimalization returns its survivors as :class:`MinimalGenerators`, whose
+``reduced_basis`` finishes the truncated basis the survivor test built.
+
 The kernel runs on the packed monomials of ``MultiPoly.terms`` (see
 :mod:`kuranishi.poly`), copied in and out as term dicts: a product is
 ``a + b``, divisibility one test on the ring's ``guard`` bits, and
@@ -49,6 +58,8 @@ __all__ = [
     "reduced_groebner_basis",
     "ideal_membership",
     "minimalize_generators",
+    "MinimalGenerators",
+    "extend_reduced_basis",
 ]
 
 #: A term ``(monomial, coefficient)``.
@@ -238,20 +249,50 @@ def _reduce_pairs(basis: _Basis, max_degree: int | None = None) -> None:
             _update(basis, _monic(nf))
 
 
+def _extend(basis: _Basis, generators: Sequence[MultiPoly]) -> _Basis:
+    """Add the normal forms of ``generators`` to ``basis`` through the pair
+    update, then reduce every pending pair."""
+    for g in generators:
+        nf = _nf(dict(g.terms), basis)
+        if nf:
+            _update(basis, _monic(nf))
+    _reduce_pairs(basis)
+    return basis
+
+
+def _interreduced(ring: PolyRing, polys: list[list[Term]]) -> list[MultiPoly]:
+    """The reduced basis of the Groebner basis ``polys``.
+
+    Sorted by ascending leading monomial, an element whose leading monomial
+    another's divides is dropped, and the rest are interreduced in the same
+    pass: every term of an element is at most its leading monomial, so below
+    every later leading monomial, which divides none of them; no earlier one
+    divides the monic leading term.
+    """
+    minimal = _Basis(ring)
+    guard = ring.guard
+    for f in sorted(polys, key=lambda f: ring.key(f[0][0])):
+        lg = f[0][0] | guard
+        if any(lg - lead & guard == guard for lead in minimal.leads):
+            continue
+        minimal.append(_nf(dict(f), minimal))
+    return [MultiPoly(ring, dict(f)) for f in minimal.polys]
+
+
+def _ring_of(polys: Sequence[MultiPoly]) -> PolyRing:
+    ring = polys[0].ring
+    if any(g.ring != ring for g in polys):
+        raise ValueError("generators from different rings")
+    return ring
+
+
 def groebner_basis(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
     """A (not yet reduced) Groebner basis of the given ideal."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
-    ring = gens[0].ring
-    if any(g.ring != ring for g in gens):
-        raise ValueError("generators from different rings")
-    basis = _Basis(ring)
-    for g in gens:
-        nf = _nf(dict(g.terms), basis)
-        if nf:
-            _update(basis, _monic(nf))
-    _reduce_pairs(basis)
+    ring = _ring_of(gens)
+    basis = _extend(_Basis(ring), gens)
     return [MultiPoly(ring, dict(f)) for f in basis.polys]
 
 
@@ -264,20 +305,31 @@ def reduced_groebner_basis(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
     basis = groebner_basis(generators)
     if not basis:
         return []
-    ring = basis[0].ring
-    elements = sorted((_terms(g) for g in basis), key=lambda f: ring.key(f[0][0]))
-    # minimal: drop any element whose leading monomial another's divides;
-    # interreduce in the same ascending pass: every term of an element is at
-    # most its leading monomial, so below every later leading monomial, which
-    # divides none of them; no earlier one divides the monic leading term
-    minimal = _Basis(ring)
-    guard = ring.guard
-    for f in elements:
-        lg = f[0][0] | guard
-        if any(lg - lead & guard == guard for lead in minimal.leads):
-            continue
-        minimal.append(_nf(dict(f), minimal))
-    return [MultiPoly(ring, dict(f)) for f in minimal.polys]
+    return _interreduced(basis[0].ring, [_terms(g) for g in basis])
+
+
+def extend_reduced_basis(
+    reduced: Sequence[MultiPoly], extra: Sequence[MultiPoly]
+) -> list[MultiPoly]:
+    """The reduced Groebner basis of ``reduced + extra``, where ``reduced``
+    is already a reduced Groebner basis.
+
+    The elements of ``reduced`` enter as processed: the S-polynomial of
+    each pair of them reduces to zero modulo ``reduced``, so no pair of them
+    is formed.  Only the pairs of ``extra``'s normal forms, and of the
+    elements those pairs produce, go through the pair update, and the
+    result is interreduced as in :func:`reduced_groebner_basis`.  A reduced
+    basis is unique, so the result equals ``reduced_groebner_basis(reduced
+    + extra)``, down to the order of its terms.
+    """
+    gens = [*reduced, *(g for g in extra if not g.is_zero())]
+    if not gens:
+        return []
+    ring = _ring_of(gens)
+    basis = _Basis(ring)
+    for g in reduced:
+        basis.append(_monic(_terms(g)))
+    return _interreduced(ring, _extend(basis, extra).polys)
 
 
 def ideal_membership(p: MultiPoly, generators: Sequence[MultiPoly]) -> bool:
@@ -288,7 +340,31 @@ def ideal_membership(p: MultiPoly, generators: Sequence[MultiPoly]) -> bool:
     return normal_form(p, basis).is_zero()
 
 
-def minimalize_generators(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
+class MinimalGenerators(list):
+    """The survivors of :func:`minimalize_generators`, a list of them, with
+    the Groebner basis their survivor test built: every pair of lcm degree
+    up to the last survivor's reduced, the pairs above it still pending."""
+
+    def __init__(self, survivors: Sequence[MultiPoly] = (), basis: _Basis | None = None):
+        super().__init__(survivors)
+        self._basis = basis
+
+    def reduced_basis(self) -> list[MultiPoly]:
+        """The reduced Groebner basis of the survivors' ideal.
+
+        The survivor test's basis generates that ideal: each kept
+        generator joined it as its normal form modulo the elements before
+        it.  Its pending pairs are reduced with no degree bound and the
+        result is interreduced, so it equals ``reduced_groebner_basis`` of
+        the survivors, down to the order of its terms.
+        """
+        if self._basis is None:
+            return []
+        _reduce_pairs(self._basis)
+        return _interreduced(self._basis.ring, self._basis.polys)
+
+
+def minimalize_generators(generators: Sequence[MultiPoly]) -> MinimalGenerators:
     """Remove generators lying in the ideal of the others.
 
     The generators must be homogeneous (zero generators are ignored);
@@ -311,10 +387,13 @@ def minimalize_generators(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
     the span of those forms in ascending leading-monomial order.  So the
     survivors are also those of dropping, from the largest leading monomial
     down, each generator in the ideal of the generators still present.
+
+    The survivors come with that truncated basis, which
+    :meth:`MinimalGenerators.reduced_basis` finishes.
     """
     current = [g.monic() for g in generators if not g.is_zero()]
     if not current:
-        return []
+        return MinimalGenerators()
     ring = current[0].ring
     for g in current:
         if g.ring != ring:
@@ -330,4 +409,4 @@ def minimalize_generators(generators: Sequence[MultiPoly]) -> list[MultiPoly]:
         if nf:
             survivors.append(g)
             _update(basis, _monic(nf))
-    return survivors
+    return MinimalGenerators(survivors, basis)

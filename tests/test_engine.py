@@ -29,7 +29,7 @@ from kuranishi.engine import (
     kuranishi_problem,
     product_of_germs,
 )
-from kuranishi.groebner import reduced_groebner_basis
+from kuranishi.groebner import MinimalGenerators, reduced_groebner_basis
 from kuranishi.linalg import ExactMatrix
 from kuranishi.poly import PolyRing
 from kuranishi.scalars import GaussianRational as G, ONE, ZERO
@@ -411,6 +411,18 @@ def test_product_germ_matches_a_germ_of_the_embedded_generators(name):
     product = product_of_germs(ring, truncated, result.endomorphism.germ)
     assert product.basis is None
     assert product.method == "truncated"
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "iwasawa", "torus"])
+def test_germ_basis_finishes_the_minimalization(name):
+    """A certified block's germ basis is finished from the basis its
+    generator minimalization built; it equals the basis from scratch."""
+    result = analyzed(name)
+    for block in (result.deformation, result.endomorphism, result.joint):
+        generators = block.series.generators
+        assert isinstance(generators, MinimalGenerators)
+        assert block.series.exact
+        assert block.germ.basis == reduced_groebner_basis(list(generators))
 
 
 LAYOUT_DOCUMENTS = {

@@ -9,6 +9,10 @@ reduced bases and survivors, down to the order of their terms, on rings of
 1, 3 and 31 variables and with degrees just below the packing limit.  The
 frozen code runs on the tuple-monomial polynomials of ``oracle_poly``;
 ``tuple_polys.frozen`` carries inputs and results over, term order kept.
+
+The bases the engine carries on instead of recomputing -- a reduced basis
+extended by more generators, and the minimalization's truncated basis
+finished -- must equal the reduced basis from scratch, term order too.
 """
 
 from __future__ import annotations
@@ -239,3 +243,84 @@ def test_degrees_at_the_packing_limit_raise() -> None:
         groebner.spoly(top, y)  # an lcm at the limit
     with pytest.raises(ValueError, match=limit):
         groebner.reduced_groebner_basis([top + y, x * y])  # a pair's lcm
+
+
+# -- carrying on a basis the engine already holds ------------------------------
+
+
+def _term_lists(polys: list[MultiPoly]) -> list[list]:
+    return [list(g.terms.items()) for g in polys]
+
+
+@st.composite
+def _extensions(draw) -> tuple[list[MultiPoly], list[MultiPoly]]:
+    """Generators of a starting ideal and one or two extra polynomials of
+    the same ring: linear forms, as the leaf branches add, or polynomials of
+    degree at most 3, homogeneous or not."""
+    if draw(st.booleans()):
+        base = draw(st.one_of(_homogeneous_lists(), st.lists(_poly(), max_size=3)))
+        extra = st.one_of(_form(1), _form(2), _poly())
+    else:
+        ring = draw(st.sampled_from(RINGS))
+        base = [draw(_sparse(ring)) for _ in range(draw(st.integers(0, 4)))]
+        extra = st.one_of(_sparse(ring, 1), _sparse(ring))
+    return base, draw(st.lists(extra, min_size=1, max_size=2))
+
+
+@given(_extensions())
+@settings(max_examples=150, deadline=None)
+def test_extended_basis_equals_the_reduced_basis_from_scratch(case) -> None:
+    base, extra = case
+    reduced = groebner.reduced_groebner_basis(base)
+    got = groebner.extend_reduced_basis(reduced, extra)
+    assert _term_lists(got) == _term_lists(groebner.reduced_groebner_basis(reduced + extra))
+
+
+@given(_extensions())
+@settings(max_examples=100, deadline=None)
+def test_extension_pairs_only_the_new_elements(case) -> None:
+    """The reduced basis's elements enter as processed: every pair update
+    comes after them, one per element that joins, and one comes exactly
+    when an extra polynomial lies outside the ideal."""
+    base, extra = case
+    reduced = groebner.reduced_groebner_basis(base)
+    sizes: list[int] = []
+    update = groebner._update
+
+    def recording(basis, candidate):
+        sizes.append(len(basis.polys))
+        update(basis, candidate)
+
+    with mock.patch.object(groebner, "_update", recording):
+        groebner.extend_reduced_basis(reduced, extra)
+    assert sizes == list(range(len(reduced), len(reduced) + len(sizes)))
+    outside = any(not groebner.normal_form(p, reduced).is_zero() for p in extra)
+    assert bool(sizes) == outside
+
+
+def test_extension_forms_the_pairs_that_make_new_elements() -> None:
+    """The reduced basis of <x^2 - y z, x y> holds y^2 z, the normal form
+    of their S-pair; extending <x^2 - y z> by x y must produce it."""
+    x, y, z = (R.var(v) for v in R.variables)
+    reduced = groebner.reduced_groebner_basis([x * x - y * z])
+    got = groebner.extend_reduced_basis(reduced, [x * y])
+    assert [str(g) for g in got] == ["x*y", "x^2 - y*z", "y^2*z"]
+    assert got == groebner.reduced_groebner_basis([x * x - y * z, x * y])
+
+
+@given(st.one_of(_homogeneous_lists(), _wide(margin=48, homogeneous=True)))
+@settings(max_examples=150, deadline=None)
+def test_finished_minimalization_equals_the_reduced_basis_of_the_survivors(gens) -> None:
+    survivors = groebner.minimalize_generators(gens)
+    want = groebner.reduced_groebner_basis(list(survivors))
+    assert _term_lists(survivors.reduced_basis()) == _term_lists(want)
+    assert _term_lists(survivors.reduced_basis()) == _term_lists(want)  # finishing twice
+
+
+def test_finishing_reduces_the_pairs_above_the_last_survivor() -> None:
+    """Both survivors have degree 2; the basis of their ideal also holds
+    y^2 z, from the pair of lcm degree 3 the survivor test left pending."""
+    x, y, z = (R.var(v) for v in R.variables)
+    survivors = groebner.minimalize_generators([x * y, x * x - y * z])
+    assert survivors == [x * y, x * x - y * z]
+    assert [str(g) for g in survivors.reduced_basis()] == ["x*y", "x^2 - y*z", "y^2*z"]

@@ -15,7 +15,9 @@ block off the diagonal), catalog structures on seeded random frames, the
 rank-1 DGLAs of six catalog entries in the seeded mixed frames of
 ``test_gate_oracle``, the toy DGLAs of ``test_dgla``, and two toys below on
 which a certificate span grows only through a self-bracket, each under
-both pivot rules.
+both pivot rules.  Both engine routes take their first round of brackets
+from the series' degree-two term, so its coefficients must be those
+brackets, vector for vector.
 """
 
 from __future__ import annotations
@@ -140,8 +142,10 @@ def test_hodge_split_matches_oracle(case: str, rule: str) -> None:
 
 
 def _certificates(module, problem, series, obstructions):
+    # the engine's routes read their first round of brackets off the series
+    closure_args = (series, obstructions) if module is engine else ()
     return (
-        module._closure_certificate(problem),
+        module._closure_certificate(problem, *closure_args),
         module._rational_certificate(problem, series, obstructions),
     )
 
@@ -170,3 +174,26 @@ def test_exact_toys_are_dglas_and_exercise_the_routes() -> None:
         "exact_square": ({"spanDimension": 2}, 1),
         "exact_chain": ({"spanDimension": 3}, None),
     }
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in CASES if c.split("-")[1] in ("r1", "r2", "mixed")]
+)
+def test_series_degree_two_holds_the_first_round_of_brackets(case: str) -> None:
+    """The coefficient of ``t_a t_b`` in ``series[2]`` is ``delta(h_a, h_b)``,
+    so both span routes may seed from it: every catalog block at ranks 1
+    and 2 and every block in the seeded mixed frames."""
+    problem = kuranishi_problem(_case(case))
+    series, _ = expand_series(problem, 2)
+    kernel = problem._series_kernel
+    reps = [kernel.constant(rep) for rep in problem.harmonic_reps]
+    monomial = problem.ring.variable_monomial
+    deltas = []
+    for a, u in enumerate(reps):
+        for b in range(a, len(reps)):
+            m = monomial(a) + monomial(b)
+            delta = kernel.scalars(kernel.delta(u, reps[b]))
+            assert [p.terms.get(m, G(0)) for p in series[2]] == delta, (a, b)
+            if any(delta):
+                deltas.append(delta)
+    assert engine._degree_two_coefficients(problem, series) == deltas

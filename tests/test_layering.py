@@ -171,3 +171,21 @@ def test_one_matrix_product_and_one_frame_table() -> None:
     )
     assert [name for name in dense if hasattr(ComplexStructure, name)] == []
     assert not hasattr(LieAlgebra, "bracket_basis")
+
+
+def test_the_buchberger_kernel_stays_in_groebner() -> None:
+    """Every Buchberger loop runs in ``groebner.py``, behind its public
+    functions, where the benchmark's tracer can wrap it: no other package
+    module names the kernel's basis, pair loop, pair update or reduction."""
+    kernel = ("_Basis", "_reduce_pairs", "_update", "_nf")
+    named = [
+        f"{name}: {node.id if isinstance(node, ast.Name) else node.attr}"
+        for name in MODULES
+        if name != "groebner.py"
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+        if (isinstance(node, ast.Name) and node.id in kernel)
+        or (isinstance(node, ast.Attribute) and node.attr in kernel)
+    ]
+    assert named == []
+    source = (PACKAGE / "groebner.py").read_text()
+    assert all(f"def {name}(" in source or f"class {name}" in source for name in kernel)
