@@ -406,7 +406,7 @@ def build_pair_dgla(
                         continue
                     new_word, sign = wedged
                     for g in range(square):
-                        coeff = _signed(matrix[divmod(g, rank)], -sign)
+                        coeff = _signed(matrix.rows[g // rank][g % rank], -sign)
                         _accumulate(image, targets[(new_word, m + g)], coeff)
             for row, v in image.items():
                 rows[row][col] = v

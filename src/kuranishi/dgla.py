@@ -186,8 +186,7 @@ class Dgla:
             return NotImplemented
         return (
             self.basis == other.basis
-            and {i: m for i, m in self.differentials.items()}
-            == {i: m for i, m in other.differentials.items()}
+            and self.differentials == other.differentials
             and self.brackets == other.brackets
         )
 
@@ -473,14 +472,14 @@ def hodge_decomposition(dgla: Dgla, pivot_rule: str = "earliest") -> dict[int, H
         n = dgla.dim(i)
         outgoing = dgla.differential_matrix(i)
         echelon = rref(outgoing)
-        here_pivots = pivot_columns(*echelon, pivot_rule)
+        here_pivots = pivot_columns(echelon, pivot_rule)
         image_vectors = [incoming.column(p) for p in below_pivots]
         coexact_vectors: list[Vector] = []
         for p in here_pivots:
             unit = [ZERO] * n
             unit[p] = ONE
             coexact_vectors.append(tuple(unit))
-        kernel = kernel_basis(*echelon)
+        kernel = kernel_basis(echelon)
         harmonic = _harmonic_representatives(kernel, image_vectors, n)
         h = len(harmonic)
         if h != len(kernel) - len(image_vectors):

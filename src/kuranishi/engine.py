@@ -492,9 +492,10 @@ def _rational_certificate(
     correction tail then solves a linear system over the parameter field,
     the obstruction generating function times ``q**2`` (``q`` the system
     determinant, ``q(0) = 1``) is a polynomial of some degree ``D``, and a
-    recurrence shows all obstructions above degree ``D`` are redundant.  Every bracket is evaluated on the series kernel,
-    whose ``delta`` is a nonzero multiple of ``H[u, v]``, so it spans what
-    the homotopy-corrected brackets span.
+    recurrence shows all obstructions above degree ``D`` are redundant.
+    Every bracket is evaluated on the series kernel, whose ``delta`` is a
+    nonzero multiple of ``H[u, v]``, so it spans what the homotopy-corrected
+    brackets span.
 
     Returns certificate metadata plus the complete obstruction table up to
     degree ``D``, or None when the route does not apply.

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .dgla import Dgla, dgla_axiom_failures
 from .linalg import EchelonBasis, ExactMatrix, Vector, inverse, kernel_basis, rref
-from .scalars import GaussianRational, ONE, ZERO, parse_rational
+from .scalars import GaussianRational, I, ONE, ZERO, parse_rational
 
 __all__ = [
     "LieAlgebra",
@@ -250,18 +250,20 @@ class ComplexStructure:
         Entries must be exact rationals; the eigenspace is extracted by exact
         kernel computation over the Gaussian rationals.
         """
+        n = algebra.dim
         j = ExactMatrix(j_rows)
-        if j.nrows != algebra.dim or j.ncols != algebra.dim:
+        if j.nrows != n or j.ncols != n:
             raise ValueError("J matrix has wrong shape")
         if any(not v.is_real() for row in j.rows for v in row):
             raise ValueError("J matrix entries must be real rationals")
-        n = algebra.dim
-        minus_identity = ExactMatrix.identity(n).scale(-1)
-        if (j @ j) != minus_identity:
+        minus_identity = [[-ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+        if (j @ j).rows != minus_identity:
             raise ValueError("J^2 must be -identity")
-        i_unit = GaussianRational(0, 1)
-        shifted = j - ExactMatrix.identity(n).scale(i_unit)
-        frame = kernel_basis(*rref(shifted))
+        shifted = [
+            [x - I if r == c else x for c, x in enumerate(row)]
+            for r, row in enumerate(j.rows)
+        ]
+        frame = kernel_basis(rref(ExactMatrix(shifted, ncols=n)))
         if len(frame) != n // 2:
             raise ValueError("the +i eigenspace has the wrong dimension")
         return cls(algebra, frame)

@@ -7,18 +7,19 @@ so the rows and pivots do not depend on the order the vectors arrive in.
 
 All decisions that depend on basis choices are made deterministic:
 
-* ``rref`` inserts the rows of a matrix into an ``EchelonBasis`` and pads
-  the zero rows at the bottom.
-* ``kernel_basis`` and ``pivot_columns`` read the ``(reduced, pivots)`` that
-  ``rref`` returns, so one elimination serves both.  ``kernel_basis`` emits
-  one vector per free column, in increasing column order, with entry 1 at
-  the free position.  ``pivot_columns`` supports an ``earliest`` rule (the
-  rref pivots) and a ``latest`` rule (pivots of the column-reversed echelon
-  rows mapped back), so a caller can pick coordinate complements under
-  either convention.
+* ``rref`` returns the ``EchelonBasis`` of a matrix's rows: its reduced
+  row echelon form without the zero rows.
+* ``kernel_basis`` and ``pivot_columns`` read the ``rows``, ``pivots`` and
+  ``length`` of that basis, so one elimination serves both.
+  ``kernel_basis`` emits one vector per free column, in increasing column
+  order, with entry 1 at the free position.  ``pivot_columns`` supports an
+  ``earliest`` rule (the basis pivots) and a ``latest`` rule (pivots of the
+  column-reversed basis rows mapped back), so a caller can pick coordinate
+  complements under either convention.
 
-``ExactMatrix.__matmul__`` is the one matrix product.  Every vector here,
-for ``EchelonBasis`` and ``kernel_basis`` alike, is a vector of scalars.
+``ExactMatrix`` is a shape-checked holder of rows, and its ``@`` is the one
+matrix product.  Every vector here, for ``EchelonBasis`` and
+``kernel_basis`` alike, is a vector of scalars.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def _coerce_row(row: Iterable[object]) -> list[GaussianRational]:
 class ExactMatrix:
     """A dense matrix of :class:`GaussianRational` entries.
 
-    Rows are stored as lists; the matrix itself should be treated as
-    immutable after construction (mutating helpers return new matrices).
+    Rows are stored as lists of one length, checked at construction; treat
+    the matrix as immutable afterwards.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -74,12 +75,6 @@ class ExactMatrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
         return cls([[ZERO] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)], ncols=n
-        )
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[object]], nrows: int | None = None) -> "ExactMatrix":
@@ -106,44 +101,12 @@ class ExactMatrix:
             and self.rows == other.rows
         )
 
-    def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
-        i, j = key
-        return self.rows[i][j]
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.rows)
         return f"ExactMatrix({self.nrows}x{self.ncols}: {body})"
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for row in self.rows for v in row)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            ncols=self.ncols,
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            ncols=self.ncols,
-        )
-
-    def scale(self, c: object) -> "ExactMatrix":
-        s = GaussianRational.coerce(c)  # type: ignore[arg-type]
-        return ExactMatrix(
-            [[s * v for v in row] for row in self.rows], ncols=self.ncols
-        )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
@@ -243,56 +206,48 @@ class EchelonBasis:
         return all(x.is_zero() for x in self.reduce(vec))
 
 
-def rref(matrix: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form with its pivot columns.
-
-    The nonzero rows are the :class:`EchelonBasis` of the row span; zero
-    rows pad the result to the matrix's height.
-    """
-    basis = EchelonBasis(matrix.ncols, matrix.rows)
-    zeros = [[ZERO] * matrix.ncols for _ in range(matrix.nrows - len(basis.rows))]
-    return ExactMatrix(basis.rows + zeros, ncols=matrix.ncols), tuple(basis.pivots)
+def rref(matrix: ExactMatrix) -> EchelonBasis:
+    """The :class:`EchelonBasis` of the matrix's rows: its reduced row
+    echelon form without the zero rows, with the pivot columns."""
+    return EchelonBasis(matrix.ncols, matrix.rows)
 
 
-def pivot_columns(
-    reduced: ExactMatrix, pivots: Sequence[int], rule: str = "earliest"
-) -> tuple[int, ...]:
+def pivot_columns(echelon: EchelonBasis, rule: str = "earliest") -> tuple[int, ...]:
     """Column indices that index an injective coordinate complement of the kernel.
 
-    Takes the ``(reduced, pivots)`` that :func:`rref` returns for the matrix.
-    ``earliest`` keeps those pivots.  ``latest`` processes columns right to
-    left (the pivots of the column-reversed nonzero rows, which span the
-    matrix's row space) and maps them back, preferring the highest-index
-    columns.  Both return sorted indices.
+    Takes the :func:`rref` basis of the matrix.  ``earliest`` keeps its
+    pivots.  ``latest`` processes columns right to left (the pivots of the
+    column-reversed basis rows, which span the matrix's row space) and maps
+    them back, preferring the highest-index columns.  Both return sorted
+    indices.
     """
     if rule == "earliest":
-        return tuple(pivots)
+        return tuple(echelon.pivots)
     if rule == "latest":
+        last = echelon.length - 1
         reversed_cols = ExactMatrix(
-            [list(reversed(row)) for row in reduced.rows[: len(pivots)]],
-            ncols=reduced.ncols,
+            [row[::-1] for row in echelon.rows], ncols=echelon.length
         )
-        _, piv = rref(reversed_cols)
-        return tuple(sorted(reduced.ncols - 1 - p for p in piv))
+        return tuple(sorted(last - p for p in rref(reversed_cols).pivots))
     raise ValueError(f"unknown pivot rule {rule!r}")
 
 
-def kernel_basis(reduced: ExactMatrix, pivots: Sequence[int]) -> list[Vector]:
+def kernel_basis(echelon: EchelonBasis) -> list[Vector]:
     """Deterministic basis of the right kernel.
 
-    Takes the ``(reduced, pivots)`` that :func:`rref` returns for the matrix.
-    One vector per free column, emitted in increasing free-column order; each
-    has entry 1 at its free column and the solved pivot entries elsewhere.
+    Takes the :func:`rref` basis of the matrix.  One vector per free column,
+    emitted in increasing free-column order; each has entry 1 at its free
+    column and the solved pivot entries elsewhere.
     """
-    pivot_set = set(pivots)
+    pivot_set = set(echelon.pivots)
     basis: list[Vector] = []
-    for free in range(reduced.ncols):
+    for free in range(echelon.length):
         if free in pivot_set:
             continue
-        vec = [ZERO] * reduced.ncols
+        vec = [ZERO] * echelon.length
         vec[free] = ONE
-        for row_idx, pcol in enumerate(pivots):
-            vec[pcol] = -reduced.rows[row_idx][free]
+        for row, pcol in zip(echelon.rows, echelon.pivots):
+            vec[pcol] = -row[free]
         basis.append(tuple(vec))
     return basis
 
@@ -306,7 +261,7 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
         row + [ONE if j == i else ZERO for j in range(n)]
         for i, row in enumerate(matrix.rows)
     ]
-    reduced, pivots = rref(ExactMatrix(augmented, ncols=2 * n))
-    if len(pivots) != n or any(p >= n for p in pivots):
+    echelon = rref(ExactMatrix(augmented, ncols=2 * n))
+    if echelon.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return ExactMatrix([row[n:] for row in reduced.rows], ncols=n)
+    return ExactMatrix([row[n:] for row in echelon.rows], ncols=n)

@@ -21,6 +21,8 @@ is ``frame_bracket(structure, ``), and ``basis_inverse.apply(`` is
 logic: the structure no longer stores the inverse of its doubled frame,
 so ``frame_constants`` forms it, and the table it cached in a slot of the
 structure is cached by an ``lru_cache`` keyed on the structure object.
+``ExactMatrix.__getitem__`` is gone from the package, so the curvature
+entry ``value[u, v]`` is spelled ``value.rows[u][v]``, spelling only.
 
 Frozen at creation; do not edit when changing the builder.
 """
@@ -612,7 +614,7 @@ def build_pair_dgla(
                         scale = GaussianRational(-sign)
                         for u in range(rank):
                             for v in range(rank):
-                                coeff = value[u, v]
+                                coeff = value.rows[u][v]
                                 if coeff.is_zero():
                                     continue
                                 row = base + u * rank + v

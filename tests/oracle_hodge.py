@@ -9,7 +9,11 @@ coordinates, and the record carried the harmonic projection.  The one-pass
 split in ``kuranishi.dgla`` replaced it; ``test_hodge_oracle`` compares the
 two.  ``pivot_columns`` and ``kernel_basis``, which each eliminated their
 matrix afresh, are copied from the ``linalg`` module of the same time, and
-``_unit`` stands for the ``Dgla.basis_vector`` of that time.
+``_unit`` stands for the ``Dgla.basis_vector`` of that time.  ``rref`` is
+imported from ``oracle_linalg``, whose ``rref`` returns the ``(reduced,
+pivots)`` pair these copies unpack, since ``kuranishi.linalg.rref`` now
+returns the ``EchelonBasis``; ``test_rref_matches_the_oracle`` shows the two
+agree.  That import is the only edit.
 
 Frozen at creation; do not edit when changing the engine.
 """
@@ -25,9 +29,9 @@ from kuranishi.linalg import (
     ExactMatrix,
     Vector,
     inverse,
-    rref,
 )
 from kuranishi.scalars import ONE, ZERO
+from oracle_linalg import rref
 
 
 # -- copied from the ``linalg`` and ``dgla`` modules of the same time ----------

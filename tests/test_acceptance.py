@@ -16,7 +16,7 @@ from functools import cache
 
 from oracle_groebner import oracle_membership
 from oracle_maps import apply, bracket_vectors
-from test_dgla import harmonic_projection
+from test_dgla import harmonic_projection, identity_minus, matrix_sum
 from tuple_polys import frozen
 
 from kuranishi.analysis import StructureAnalysis, analyze_structure
@@ -65,7 +65,7 @@ def _cross_block_matrix(
 
 
 def _matrix_rank(matrix: ExactMatrix) -> int:
-    return len(rref(matrix)[1])
+    return len(rref(matrix).pivots)
 
 
 def _germ_shape(germ) -> tuple:
@@ -258,8 +258,8 @@ def test_hodge_homotopy_identities_on_every_catalog_entry():
                 delta_here = homotopy(p)
                 delta_above = homotopy(p + 1)
 
-                reconstructed = d_below @ delta_here + delta_above @ d_here
-                expected = ExactMatrix.identity(n) - harmonic_projection(hodge[p], n)
+                reconstructed = matrix_sum(d_below @ delta_here, delta_above @ d_here)
+                expected = identity_minus(harmonic_projection(hodge[p], n))
                 assert reconstructed == expected, (name, p, "d delta + delta d")
 
                 assert delta_here @ delta_above == ExactMatrix.zeros(

@@ -13,7 +13,7 @@ from kuranishi.linalg import ExactMatrix
 from kuranishi.scalars import GaussianRational, ONE, ZERO
 
 from oracle_maps import bracket_entry
-from test_dgla import cohomology_from_ranks, harmonic_projection
+from test_dgla import cohomology_from_ranks, harmonic_projection, identity_minus, matrix_sum
 from test_lie import (
     example1_structure,
     example2_structure,
@@ -246,6 +246,8 @@ def test_hodge_identities_on_built_dgla() -> None:
             delta_up = hodge[i + 1].homotopy
         else:
             delta_up = ExactMatrix.zeros(n, left.dim(i + 1))
-        lhs = left.differential_matrix(i - 1) @ delta_here
-        lhs = lhs + delta_up @ left.differential_matrix(i)
-        assert lhs == ExactMatrix.identity(n) - harmonic_projection(hodge[i], n)
+        lhs = matrix_sum(
+            left.differential_matrix(i - 1) @ delta_here,
+            delta_up @ left.differential_matrix(i),
+        )
+        assert lhs == identity_minus(harmonic_projection(hodge[i], n))

@@ -28,7 +28,7 @@ def cohomology_from_ranks(dgla: Dgla) -> dict[int, int]:
     Computed from the ranks of the differentials alone, independently of the
     harmonic representatives that the Hodge split reports.
     """
-    ranks = {i: len(rref(dgla.differential_matrix(i))[1]) for i in dgla.degrees()}
+    ranks = {i: len(rref(dgla.differential_matrix(i)).pivots) for i in dgla.degrees()}
     return {i: dgla.dim(i) - ranks[i] - ranks.get(i - 1, 0) for i in dgla.degrees()}
 
 
@@ -36,6 +36,23 @@ def harmonic_projection(record: HodgeDegree, n: int) -> ExactMatrix:
     """The projection onto the harmonic span along ``im(d) + A``: ``H @ coords``."""
     columns = [list(v) for v in record.harmonic]
     return ExactMatrix.from_columns(columns, nrows=n) @ record.harmonic_coordinates
+
+
+def matrix_sum(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """``a + b`` entry by entry, for two matrices of one shape."""
+    assert (a.nrows, a.ncols) == (b.nrows, b.ncols)
+    rows = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+    return ExactMatrix(rows, ncols=a.ncols)
+
+
+def identity_minus(matrix: ExactMatrix) -> ExactMatrix:
+    """``1 - matrix`` for a square matrix."""
+    assert matrix.nrows == matrix.ncols
+    rows = [
+        [(ONE if r == c else ZERO) - x for c, x in enumerate(row)]
+        for r, row in enumerate(matrix.rows)
+    ]
+    return ExactMatrix(rows, ncols=matrix.ncols)
 
 
 def chain_dgla() -> Dgla:
@@ -226,9 +243,11 @@ def test_homotopy_identities(rule: str) -> None:
             n = dgla.dim(i)
             delta_here = hodge[i].homotopy
             delta_up = homotopy_matrix(dgla, hodge, i + 1)
-            lhs = dgla.differential_matrix(i - 1) @ delta_here
-            lhs = lhs + delta_up @ dgla.differential_matrix(i)
-            assert lhs == ExactMatrix.identity(n) - harmonic_projection(hodge[i], n)
+            lhs = matrix_sum(
+                dgla.differential_matrix(i - 1) @ delta_here,
+                delta_up @ dgla.differential_matrix(i),
+            )
+            assert lhs == identity_minus(harmonic_projection(hodge[i], n))
             assert (delta_here @ delta_up).is_zero()
             assert delta_here @ dgla.differential_matrix(i - 1) @ delta_here == delta_here
 

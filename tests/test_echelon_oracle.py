@@ -74,8 +74,19 @@ matrices = row_lists() | row_lists(max_dim=8, values=sparse_unit_entries)
 @given(matrices)
 @settings(max_examples=120, deadline=None)
 def test_rref_matches_the_oracle(rows: list[list[GaussianRational]]) -> None:
+    """The basis is the oracle's reduced form without its zero rows: the same
+    nonzero rows and pivots, and the oracle pads exactly ``nrows - rank``
+    zero rows below them."""
     matrix = ExactMatrix(rows)
-    assert rref(matrix) == oracle.rref(matrix)
+    echelon = rref(matrix)
+    reduced, pivots = oracle.rref(matrix)
+    rank = len(pivots)
+    assert echelon.length == reduced.ncols
+    assert echelon.pivots == list(pivots)
+    assert echelon.rows == reduced.rows[:rank]
+    padding = reduced.rows[rank:]
+    assert len(padding) == matrix.nrows - rank
+    assert all(x.is_zero() for row in padding for x in row)
 
 
 @given(matrices)
@@ -100,7 +111,7 @@ def test_harmonic_representatives_match_the_oracle(
     """Image vectors are combinations of kernel vectors, as for a
     differential, or arbitrary vectors of the same length."""
     n = len(outgoing[0])
-    kernel = kernel_basis(*rref(ExactMatrix(outgoing)))
+    kernel = kernel_basis(rref(ExactMatrix(outgoing)))
     image = []
     for _ in range(data.draw(st.integers(0, 3))):
         vec = [ZERO] * n

@@ -559,7 +559,7 @@ def test_germ_of_random_linear_ideals_is_smooth(rows):
     matrix = ExactMatrix([[G(c) for c in row] for row in rows])
     from kuranishi.linalg import rref
 
-    rank = len(rref(matrix)[1])
+    rank = len(rref(matrix).pivots)
     germ = germ_invariants(ring, gens)
     assert germ.smooth is True
     assert germ.dimension == 3 - rank

@@ -16,7 +16,7 @@ import pytest
 
 from kuranishi.dgla import Dgla
 from kuranishi.lie import ComplexStructure, LieAlgebra
-from kuranishi.linalg import ExactMatrix
+from kuranishi.linalg import EchelonBasis, ExactMatrix, kernel_basis, pivot_columns, rref
 from kuranishi.scalars import GaussianRational
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kuranishi"
@@ -171,6 +171,29 @@ def test_one_matrix_product_and_one_frame_table() -> None:
     )
     assert [name for name in dense if hasattr(ComplexStructure, name)] == []
     assert not hasattr(LieAlgebra, "bracket_basis")
+
+
+def test_one_echelon_form() -> None:
+    """``rref`` returns the ``EchelonBasis``, the one form of an echelon
+    result: ``kernel_basis`` and ``pivot_columns`` read it as their one
+    echelon argument, no package module unpacks a ``(reduced, pivots)``
+    pair from ``*rref(``, and ``ExactMatrix`` keeps no arithmetic beyond
+    its product."""
+    for rows in ([[1, 2], [2, 4]], [[0, 0]]):
+        assert isinstance(rref(ExactMatrix(rows)), EchelonBasis)
+    assert list(inspect.signature(kernel_basis).parameters) == ["echelon"]
+    assert list(inspect.signature(pivot_columns).parameters) == ["echelon", "rule"]
+    deleted = ("__add__", "__sub__", "scale", "identity", "__getitem__")
+    assert [name for name in deleted if hasattr(ExactMatrix, name)] == []
+    unpacked = [
+        name
+        for name in MODULES
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+        if isinstance(node, ast.Starred)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", getattr(node.value.func, "attr", None)) == "rref"
+    ]
+    assert unpacked == []
 
 
 def test_the_buchberger_kernel_stays_in_groebner() -> None:

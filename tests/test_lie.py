@@ -15,6 +15,7 @@ from kuranishi.lie import (
 from kuranishi.linalg import ExactMatrix, rref
 from kuranishi.scalars import GaussianRational
 from oracle_builders import ce_differential, form_basis
+from test_dgla import matrix_sum
 
 G = GaussianRational
 HALF = G("1/2")
@@ -249,8 +250,7 @@ def test_from_j_matrix_matches_frame() -> None:
     stacked = ExactMatrix(
         [list(v) for v in reference.frame] + [list(v) for v in cs.frame]
     )
-    _, pivots = rref(stacked)
-    assert len(pivots) == 3  # the two frames span the same (1,0)-space
+    assert len(rref(stacked).pivots) == 3  # the two frames span the same (1,0)-space
 
 
 def test_from_j_matrix_rejections() -> None:
@@ -261,6 +261,21 @@ def test_from_j_matrix_rejections() -> None:
     complex_entries = [[G(0, 1) if i == j else 0 for j in range(6)] for i in range(6)]
     with pytest.raises(ValueError, match="real"):
         ComplexStructure.from_j_matrix(alg, complex_entries)
+    for wrong_shape in (not_square_root[:5], [row[:5] for row in not_square_root]):
+        with pytest.raises(ValueError, match="wrong shape"):
+            ComplexStructure.from_j_matrix(alg, wrong_shape)
+    # J^2 is -1 on the whole diagonal, but its first block squares to
+    # [[-1, 2], [-4, -1]]: only a check of every entry rejects it as J^2.
+    off_diagonal = [
+        [1, 1, 0, 0, 0, 0],
+        [-2, 1, 0, 0, 0, 0],
+        [0, 0, 0, -1, 0, 0],
+        [0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, -1],
+        [0, 0, 0, 0, 1, 0],
+    ]
+    with pytest.raises(ValueError, match="J\\^2"):
+        ComplexStructure.from_j_matrix(alg, off_diagonal)
 
 
 def test_change_frame_preserves_classification() -> None:
@@ -312,7 +327,7 @@ def test_ce_differential_square_zero_all_routes() -> None:
                         for (mp, mq), via in first.items():
                             onward = ce_differential(cs, mp, mq).get((fp, fq))
                             if onward is not None:
-                                total = total + (onward @ via)
+                                total = matrix_sum(total, onward @ via)
                         assert total.is_zero(), (p, q, fp, fq)
 
 
@@ -355,7 +370,7 @@ def test_real_ce_cohomology_of_heisenberg() -> None:
     # the Heisenberg numbers (1, 2, 2, 1).
     cs = example1_structure()
     assert cs.algebra == heisenberg_double()
-    ranks = [len(rref(_total_ce_differential(cs, k))[1]) for k in range(7)]
+    ranks = [len(rref(_total_ce_differential(cs, k)).pivots) for k in range(7)]
     betti = [comb(6, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(7)]
     assert betti == [1, 4, 8, 10, 8, 4, 1]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kuranishi.linalg import (
+    EchelonBasis,
     ExactMatrix,
     inverse,
     kernel_basis,
@@ -39,17 +40,21 @@ def matrices(draw: st.DrawFn, max_dim: int = 5) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def _is_rref(m: ExactMatrix, pivots: tuple[int, ...]) -> bool:
+def _is_rref(echelon: EchelonBasis) -> bool:
+    """One row per pivot, pivots increasing, each row zero before its pivot,
+    1 at it and zero at every other row's pivot."""
+    rows, pivots = echelon.rows, echelon.pivots
+    if len(rows) != len(pivots) or pivots != sorted(set(pivots)):
+        return False
     for row_idx, pcol in enumerate(pivots):
-        if not m.rows[row_idx][pcol].is_one():
+        if len(rows[row_idx]) != echelon.length:
             return False
-        for i in range(m.nrows):
-            if i != row_idx and not m.rows[i][pcol].is_zero():
+        if not rows[row_idx][pcol].is_one():
+            return False
+        for i in range(len(rows)):
+            if i != row_idx and not rows[i][pcol].is_zero():
                 return False
-        if any(not v.is_zero() for v in m.rows[row_idx][:pcol]):
-            return False
-    for i in range(len(pivots), m.nrows):
-        if any(not v.is_zero() for v in m.rows[i]):
+        if any(not v.is_zero() for v in rows[row_idx][:pcol]):
             return False
     return True
 
@@ -57,18 +62,19 @@ def _is_rref(m: ExactMatrix, pivots: tuple[int, ...]) -> bool:
 @given(matrices())
 @settings(max_examples=60)
 def test_rref_shape_and_idempotence(m: ExactMatrix) -> None:
-    reduced, pivots = rref(m)
-    assert _is_rref(reduced, pivots)
-    again, pivots2 = rref(reduced)
-    assert again == reduced and pivots2 == pivots
+    echelon = rref(m)
+    assert echelon.length == m.ncols
+    assert _is_rref(echelon)
+    again = rref(ExactMatrix(echelon.rows, ncols=m.ncols))
+    assert again.rows == echelon.rows and again.pivots == echelon.pivots
 
 
 @given(matrices())
 @settings(max_examples=60)
 def test_rank_nullity(m: ExactMatrix) -> None:
-    _, pivots = rref(m)
-    basis = kernel_basis(*rref(m))
-    assert len(pivots) + len(basis) == m.ncols
+    echelon = rref(m)
+    basis = kernel_basis(echelon)
+    assert len(echelon.pivots) + len(basis) == m.ncols
     for vec in basis:
         assert all(v.is_zero() for v in apply(m, vec))
 
@@ -76,9 +82,9 @@ def test_rank_nullity(m: ExactMatrix) -> None:
 @given(matrices())
 @settings(max_examples=60)
 def test_kernel_basis_determinism_convention(m: ExactMatrix) -> None:
-    _, pivots = rref(m)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = kernel_basis(*rref(m))
+    echelon = rref(m)
+    free = [c for c in range(m.ncols) if c not in echelon.pivots]
+    basis = kernel_basis(echelon)
     assert len(basis) == len(free)
     for vec, fcol in zip(basis, free):
         assert vec[fcol].is_one()
@@ -90,31 +96,33 @@ def test_kernel_basis_determinism_convention(m: ExactMatrix) -> None:
 @given(matrices())
 @settings(max_examples=60)
 def test_pivot_rules_give_coordinate_complements(m: ExactMatrix) -> None:
-    kernel = kernel_basis(*rref(m))
+    kernel = kernel_basis(rref(m))
     for rule in ("earliest", "latest"):
-        piv = pivot_columns(*rref(m), rule)
+        piv = pivot_columns(rref(m), rule)
         assert len(piv) + len(kernel) == m.ncols
         unit_vectors = [
             tuple(ONE if i == p else ZERO for i in range(m.ncols)) for p in piv
         ]
         stacked = ExactMatrix([list(v) for v in kernel + unit_vectors])
-        _, pivots = rref(stacked)
-        assert len(pivots) == m.ncols  # kernel + complement spans everything
+        assert len(rref(stacked).pivots) == m.ncols  # kernel + complement spans everything
 
 
 def test_pivot_rules_differ_when_possible() -> None:
     m = ExactMatrix([[1, 1]])
-    assert pivot_columns(*rref(m), "earliest") == (0,)
-    assert pivot_columns(*rref(m), "latest") == (1,)
+    assert pivot_columns(rref(m), "earliest") == (0,)
+    assert pivot_columns(rref(m), "latest") == (1,)
     with pytest.raises(ValueError):
-        pivot_columns(*rref(m), "gauss")
+        pivot_columns(rref(m), "gauss")
+
+
+IDENTITY_2 = ExactMatrix([[ONE, ZERO], [ZERO, ONE]])
 
 
 def test_inverse_small() -> None:
     m = ExactMatrix([[1, 2], [3, 4]])
     inv = inverse(m)
-    assert m @ inv == ExactMatrix.identity(2)
-    assert inv @ m == ExactMatrix.identity(2)
+    assert m @ inv == IDENTITY_2
+    assert inv @ m == IDENTITY_2
     with pytest.raises(ValueError):
         inverse(ExactMatrix([[1, 2], [2, 4]]))
 
@@ -122,7 +130,7 @@ def test_inverse_small() -> None:
 def test_inverse_complex_entries() -> None:
     i = GaussianRational(0, 1)
     m = ExactMatrix([[i, 1], [0, i]])
-    assert m @ inverse(m) == ExactMatrix.identity(2)
+    assert m @ inverse(m) == IDENTITY_2
 
 
 def test_matmul_and_stack() -> None:

@@ -34,6 +34,7 @@ from kuranishi.builders import build_pair_dgla
 from kuranishi.catalog import build_catalog_structure
 from kuranishi.dgla import Dgla, validate_dgla
 from kuranishi.engine import default_truncation_order, expand_series, kuranishi_problem
+from kuranishi.linalg import ExactMatrix
 from kuranishi.scalars import GaussianRational as G
 
 from test_gate_oracle import _framed_pair
@@ -72,7 +73,10 @@ def _rescaled(dgla: Dgla) -> Dgla:
     third, five_sevenths = G(Fraction(1, 3)), G(Fraction(5, 7))
     return Dgla(
         dgla.basis,
-        {i: matrix.scale(third) for i, matrix in dgla.differentials.items()},
+        {
+            i: ExactMatrix([[x * third for x in row] for row in matrix.rows], ncols=matrix.ncols)
+            for i, matrix in dgla.differentials.items()
+        },
         {
             key: {c: v * five_sevenths for c, v in entry.items()}
             for key, entry in dgla.brackets.items()
